@@ -284,14 +284,13 @@ def test_local_pool_worker_scaling():
     """The dispatch layer's contract: fanning a sweep from 1 to 4 pool
     workers must cut wall time near-linearly (>= 2x at 4 workers, i.e.
     >= 50 % parallel efficiency after pool startup overhead)."""
-    from repro.exec import LocalPoolBackend, ParallelRunner, RunSpec
+    from repro.exec import LocalPoolBackend, RunSpec, SweepPlan
 
     specs = [RunSpec.make("AMG", 1000 * MSEC, s, 4) for s in range(8)]
 
     def timed(workers):
-        runner = ParallelRunner(backend=LocalPoolBackend(workers))
         t0 = time.perf_counter()
-        runner.run(specs)
+        SweepPlan(specs).execute(LocalPoolBackend(workers))
         return time.perf_counter() - t0
 
     timed(1)  # warm-up: imports on both sides of the fork
@@ -311,17 +310,15 @@ def test_plan_rerun_cache_reuse(tmp_path):
     """The store+planner contract CI gates on: re-running a completed
     planned sweep must serve >90 % of it from the sharded store (here:
     all of it) with bit-identical traces."""
-    from repro.exec import ParallelRunner, ResultCache, RunSpec, SweepPlan
+    from repro.exec import RunSpec, SerialBackend, ShardedStore, SweepPlan
 
     specs = [RunSpec.make("FTQ", 60 * MSEC, s, 2) for s in range(8)]
     plan = SweepPlan(specs, shards=4, plan_dir=str(tmp_path / "plan"))
     plan.save()
 
     def run_once():
-        runner = ParallelRunner(
-            parallel=False, cache=ResultCache(str(tmp_path / "store"))
-        )
-        return plan.execute(runner), dict(plan.last_stats)
+        store = ShardedStore(str(tmp_path / "store"))
+        return plan.execute(SerialBackend(), store), dict(plan.last_stats)
 
     cold, cold_stats = run_once()
     assert cold_stats["simulated"] == len(specs)

@@ -2,7 +2,7 @@
 
 Every bench regenerates one of the paper's tables or figures.  Simulated
 executions are deterministic and cached twice: in memory for the session
-(as before) and on disk through :class:`repro.exec.ResultCache`, so a
+(as before) and on disk through :class:`repro.exec.ShardedStore`, so a
 second benchmark invocation skips simulation entirely.  Set
 ``LTTNG_NOISE_BENCH_CACHE`` to a directory to relocate the disk cache, or
 to ``off`` to disable it (always re-simulate).
@@ -28,7 +28,7 @@ import pytest
 
 from repro import obs
 from repro.core import NoiseAnalysis, TraceMeta
-from repro.exec import ResultCache, RunSpec
+from repro.exec import RunSpec, ShardedStore
 from repro.util.units import MSEC, SEC
 
 #: Simulated run length for the Sequoia case study (the paper ran minutes;
@@ -37,11 +37,11 @@ CASE_STUDY_NS = 2500 * MSEC
 SEED = 42
 
 
-def _disk_cache() -> Optional[ResultCache]:
+def _disk_cache() -> Optional[ShardedStore]:
     env = os.environ.get("LTTNG_NOISE_BENCH_CACHE", "")
     if env.lower() in ("off", "0", "no", "false"):
         return None
-    return ResultCache(env or None)
+    return ShardedStore(env or None)
 
 
 class RunCache:
@@ -53,7 +53,7 @@ class RunCache:
     only needs trace + meta).
     """
 
-    def __init__(self, disk: Optional[ResultCache] = None) -> None:
+    def __init__(self, disk: Optional[ShardedStore] = None) -> None:
         self._runs = {}
         self.disk = disk if disk is not None else _disk_cache()
 

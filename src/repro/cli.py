@@ -460,7 +460,7 @@ def _write_sweep_summary(path, name, duration, seeds, args, sweep,
 
 def cmd_sweep(args) -> int:
     from repro.core.sweep import SeedSweep
-    from repro.exec import ResultCache, RunSpec
+    from repro.exec import RunSpec, ShardedStore
 
     name = args.workload.upper()
     if name != "FTQ" and name not in SEQUOIA_PROFILES:
@@ -489,7 +489,7 @@ def cmd_sweep(args) -> int:
         return 2
     cache = None
     if not args.no_cache:
-        cache = ResultCache(args.cache_dir, max_bytes=args.max_cache_bytes)
+        cache = ShardedStore(args.cache_dir, max_bytes=args.max_cache_bytes)
     elif args.plan:
         print("--plan needs the result store; drop --no-cache",
               file=sys.stderr)
@@ -562,7 +562,7 @@ def cmd_selftrace(args) -> int:
     import json as json_mod
     import tempfile
 
-    from repro.exec import ResultCache, RunSpec
+    from repro.exec import RunSpec, ShardedStore
     from repro.util.units import MSEC
 
     config = {}
@@ -594,7 +594,7 @@ def cmd_selftrace(args) -> int:
         # (which decodes the entry back from disk).
         with tempfile.TemporaryDirectory(prefix="lttng-noise-st-") as tmp:
             with obs.span("cache-roundtrip"):
-                cache = ResultCache(tmp)
+                cache = ShardedStore(tmp)
                 cache.get(spec)
                 cache.put(spec, trace, meta)
                 hit = cache.get(spec)

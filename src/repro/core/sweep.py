@@ -10,6 +10,7 @@ confidence interval).  EXPERIMENTS.md's tolerances were picked with this.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
@@ -67,10 +68,12 @@ class SeedSweep:
     """Analyses of the same workload under different seeds."""
 
     #: One-line execution report (runs, cache hits, wall time) set by
-    #: :meth:`run` when the parallel-runner path was used; None otherwise.
+    #: :meth:`run` when the specs went through a :class:`repro.exec.SweepPlan`;
+    #: None when the in-process factory path ran.
     exec_summary: Optional[str] = None
-    #: Machine-readable version of :attr:`exec_summary` (``--summary-json``);
-    #: None when the legacy in-process path ran.
+    #: Machine-readable version of :attr:`exec_summary` (``--summary-json``):
+    #: the plan's stats record plus ``failures`` and, with a store, this
+    #: sweep's ``cache_hits``/``cache_misses``.
     exec_stats: Optional[dict] = None
 
     def __init__(self, analyses: List[NoiseAnalysis]) -> None:
@@ -99,20 +102,30 @@ class SeedSweep:
         Sequoia benchmark, ``"module:attr"``).  With ``parallel=True`` the
         runs fan out across a process pool; results are bit-identical to
         the serial path because each run is deterministic in its spec.
-        ``cache`` (a :class:`repro.exec.ResultCache`) lets repeat sweeps
+        ``cache`` (a :class:`repro.exec.ShardedStore`) lets repeat sweeps
         skip simulation entirely.
 
-        ``backend`` (a :class:`repro.exec.DispatchBackend`) overrides how
-        specs execute; ``plan`` (a :class:`repro.exec.SweepPlan`) routes
-        execution through the sharded, journaled planner so the sweep can
-        be interrupted and resumed — see ``docs/sweep-orchestration.md``.
-        Both paths produce bit-identical analyses.
+        Named sweeps execute through :meth:`repro.exec.SweepPlan.execute`:
+        ``plan`` (a saved, journaled :class:`repro.exec.SweepPlan`) lets
+        the sweep be interrupted and resumed — see
+        ``docs/sweep-orchestration.md``; without one, the specs form an
+        unjournaled one-shard plan that writes no file.  ``backend`` (a
+        :class:`repro.exec.DispatchBackend`) overrides where specs
+        execute; by default a process pool when ``parallel`` and more
+        than one worker, else in-process.  All of these produce
+        bit-identical analyses.
 
         Factories that are not importable by name (lambdas, closures,
         bound instances) cannot cross a process boundary; those fall back
         to in-process execution with a warning.
         """
-        from repro.exec import ParallelRunner, RunSpec, dotted_path_of
+        from repro.exec import (
+            LocalPoolBackend,
+            RunSpec,
+            SerialBackend,
+            SweepPlan,
+            dotted_path_of,
+        )
 
         name: Optional[str] = None
         if isinstance(workload_factory, str):
@@ -133,47 +146,57 @@ class SeedSweep:
                 "an importable path cannot be journaled)"
             )
         if name is not None:
+            if max_workers is not None and max_workers < 1:
+                raise ValueError("max_workers must be >= 1")
             specs = [
                 RunSpec.make(name, duration_ns, int(seed), ncpus)
                 for seed in seeds
             ]
-            runner = ParallelRunner(
-                max_workers=max_workers, cache=cache, parallel=parallel,
-                backend=backend,
-            )
+            if plan is None:
+                plan = SweepPlan(specs)
+            elif not plan.matches(specs):
+                raise ValueError(
+                    "plan does not match this sweep's specs; "
+                    "re-plan or fix the arguments"
+                )
+            if backend is None:
+                workers = min(max_workers or os.cpu_count() or 1,
+                              len(plan.specs))
+                backend = (
+                    LocalPoolBackend(workers) if parallel and workers > 1
+                    else SerialBackend()
+                )
+            if progress is None and obs.enabled():
+                # Observed long sweeps heartbeat by default (rate-limited).
+                hb = obs.Heartbeat("runner", total=len(plan.specs))
+                progress = lambda done, *_: hb.tick(done)
+            hits0 = cache.hits if cache is not None else 0
+            misses0 = cache.misses if cache is not None else 0
             with obs.span("sweep", workload=name, runs=len(specs)):
-                if plan is not None:
-                    if not plan.matches(specs):
-                        raise ValueError(
-                            "plan does not match this sweep's specs; "
-                            "re-plan or fix the arguments"
-                        )
-                    plan_results = plan.execute(runner, progress=progress)
-                    results = plan.results_for(specs, plan_results)
-                    stats = dict(plan.last_stats)
-                    stats["shards"] = plan.nshards
-                    stats["unique_specs"] = len(plan.specs)
-                    stats["duplicates"] = plan.duplicates
-                else:
-                    results = runner.run(specs, progress=progress)
-                    stats = runner.summary_dict()
-                sweep = SeedSweep([r.analysis() for r in results])
+                results = plan.execute(backend, cache, progress=progress)
+                sweep = SeedSweep([
+                    r.analysis() for r in plan.results_for(specs, results)
+                ])
+            # A loaded plan.json holds unique specs only; count this
+            # sweep's duplicates from what it asked for.
+            stats = dict(plan.last_stats, failures=0,
+                         duplicates=len(specs) - len(plan.specs))
             how = (
-                f"{min(runner.max_workers, max(1, runner.last_simulated))} "
-                f"workers" if runner.used_processes else "serial"
+                f"{stats['workers']} workers" if stats["used_processes"]
+                else "serial"
             )
             sweep.exec_summary = (
-                f"{int(stats['runs'])} runs: {int(stats['cached'])} cached, "
-                f"{int(stats['simulated'])} simulated ({how}) "
+                f"{stats['runs']} runs: {stats['cached']} cached, "
+                f"{stats['simulated']} simulated ({how}) "
                 f"in {stats['wall_s']:.2f}s wall"
             )
-            stats["failures"] = 0
             if cache is not None:
+                stats["cache_hits"] = cache.hits - hits0
+                stats["cache_misses"] = cache.misses - misses0
                 sweep.exec_summary += (
-                    f"; cache {cache.hits} hits, {cache.misses} misses"
+                    f"; cache {stats['cache_hits']} hits, "
+                    f"{stats['cache_misses']} misses"
                 )
-                stats["cache_hits"] = cache.hits
-                stats["cache_misses"] = cache.misses
             sweep.exec_stats = stats
             return sweep
 

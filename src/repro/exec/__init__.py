@@ -6,18 +6,19 @@ and — at campaign scale — interruptible (see
 ``docs/sweep-orchestration.md``):
 
 * :class:`RunSpec` — a hashable, serializable description of one run;
-* :class:`SweepPlan` / :class:`Journal` — expand thousands of specs into
-  deterministic content-hash-ordered shards with a JSON-lines journal of
-  per-spec state, so an interrupted campaign resumes without rework;
+* :class:`SweepPlan` / :class:`Journal` — dedup specs into deterministic
+  content-hash-ordered shards; :meth:`SweepPlan.execute` is the one path
+  every batch of specs takes (store lookups, dispatch, fan-in, one stats
+  record), journaling per-spec state when the plan has a directory so an
+  interrupted campaign resumes without rework;
 * :class:`DispatchBackend` — where specs execute:
   :class:`LocalPoolBackend` process fan-out, :class:`SerialBackend`
   in-process, :class:`FlakyBackend` fault injection for tests; worker
-  death is retried with backoff;
-* :class:`ParallelRunner` — caching, dedup and input-order fan-in over a
-  backend, falling back to bit-identical serial execution;
-* :class:`ResultCache` / :class:`ShardedStore` — hash-prefix-sharded
-  on-disk (trace, meta) store keyed by a content hash of the spec +
-  package version, with size budgets and mtime-LRU eviction.
+  death is retried with backoff, then degraded to bit-identical serial
+  execution;
+* :class:`ShardedStore` — hash-prefix-sharded on-disk (trace, meta) store
+  keyed by a content hash of the spec + package version, with size
+  budgets and mtime-LRU eviction.
 """
 
 from repro.exec.backend import (
@@ -27,27 +28,22 @@ from repro.exec.backend import (
     LocalPoolBackend,
     SerialBackend,
     dispatch_with_retry,
-)
-from repro.exec.cache import (
-    CACHE_ENV,
-    ResultCache,
-    ShardedStore,
-    StoreEntry,
-    default_cache_dir,
-)
-from repro.exec.journal import Journal
-from repro.exec.plan import PlanShard, SweepPlan
-from repro.exec.runner import (
-    ParallelRunner,
-    RunResult,
     execute_spec_serialized,
     execute_spec_streaming,
 )
+from repro.exec.journal import Journal
+from repro.exec.plan import PlanShard, RunResult, SweepPlan
 from repro.exec.spec import (
     RunSpec,
     dotted_path_of,
     register_workload,
     resolve_factory,
+)
+from repro.exec.store import (
+    CACHE_ENV,
+    ShardedStore,
+    StoreEntry,
+    default_cache_dir,
 )
 
 __all__ = [
@@ -57,9 +53,7 @@ __all__ = [
     "FlakyBackend",
     "Journal",
     "LocalPoolBackend",
-    "ParallelRunner",
     "PlanShard",
-    "ResultCache",
     "RunResult",
     "RunSpec",
     "SerialBackend",

@@ -1,12 +1,13 @@
 """Dispatch backends: where a batch of RunSpecs actually executes.
 
-:class:`~repro.exec.runner.ParallelRunner` used to hard-code two
-execution paths (a ``ProcessPoolExecutor`` and an in-process loop).  This
-module extracts them behind :class:`DispatchBackend`, a two-method
-surface — ``execute(specs)`` yields ``(spec, trace, meta, elapsed)``
-tuples as specs finish — so a remote-worker backend (SSH pool, batch
-scheduler, object store + queue) becomes a drop-in later: everything a
-backend exchanges is already plain bytes.
+:meth:`~repro.exec.plan.SweepPlan.execute` decides *what* runs (dedup,
+store lookups, journal); this module decides *where*.  Both execution
+paths (a ``ProcessPoolExecutor`` and an in-process loop) sit behind
+:class:`DispatchBackend`, a two-method surface — ``execute(specs)``
+yields ``(spec, trace, meta, elapsed)`` tuples as specs finish — so a
+remote-worker backend (SSH pool, batch scheduler, object store + queue)
+becomes a drop-in later: everything a backend exchanges is already plain
+bytes.
 
 Failure model: a backend that can no longer make progress (worker died,
 pool broke, connection lost) raises :class:`BackendFailure` carrying the
@@ -32,10 +33,55 @@ from repro.exec.spec import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.model import TraceMeta
+    from repro.stream.analysis import StreamingAnalysis
     from repro.tracing.ctf import Trace
 
 #: What every backend yields per completed spec.
 RunTuple = Tuple[RunSpec, "Trace", "TraceMeta", float]
+
+
+def execute_spec_serialized(
+    spec: RunSpec,
+) -> Tuple[bytes, str, float, Optional[str]]:
+    """Worker entry point: simulate one spec, return picklable primitives.
+
+    Returns ``(trace_bytes, meta_json, elapsed_seconds, obs_json)``.
+    Module-level so it pickles under every multiprocessing start method.
+    When obs is enabled (workers inherit the mode through
+    :data:`repro.obs.OBS_ENV`), the worker's telemetry for this run is
+    drained into ``obs_json`` for the parent to merge — spans keep the
+    worker's pid, so a merged chrome export shows per-worker tracks.
+    """
+    from repro.obs.sampler import maybe_start_worker_sampler
+
+    maybe_start_worker_sampler()
+    t0 = time.perf_counter()
+    with obs.span("run", workload=spec.workload, seed=spec.seed):
+        trace, meta = spec.execute()
+    elapsed = time.perf_counter() - t0
+    obs_json = json.dumps(obs.drain_snapshot()) if obs.enabled() else None
+    return trace.to_bytes(), meta.to_json(), elapsed, obs_json
+
+
+def execute_spec_streaming(
+    spec: RunSpec, **stream_kwargs: object
+) -> "StreamingAnalysis":
+    """Simulate one spec analyze-while-simulating: packets are analyzed as
+    the collection daemon drains them and no full trace is assembled, so
+    peak memory stays bounded by the analysis window rather than the trace
+    length.  Returns the finished
+    :class:`~repro.stream.analysis.StreamingAnalysis`; ``stream_kwargs``
+    (``window_ns``, ``quanta``, ``on_chunk``, ...) are forwarded to it.
+    """
+    workload = spec.build_workload()
+    with obs.span("run", workload=spec.workload, seed=spec.seed, stream=True):
+        _node, analysis = workload.run_streaming(
+            spec.duration_ns,
+            seed=spec.seed,
+            ncpus=spec.ncpus,
+            **stream_kwargs,
+        )
+    return analysis
 
 
 class BackendFailure(Exception):
@@ -53,6 +99,8 @@ class DispatchBackend(ABC):
 
     #: Human-readable backend name (summaries, obs labels).
     name = "abstract"
+    #: Upper bound on specs executing at once.
+    max_workers = 1
     #: True when the last execute() actually crossed a process boundary.
     used_processes = False
 
@@ -103,7 +151,6 @@ class LocalPoolBackend(DispatchBackend):
 
     def execute(self, specs: List[RunSpec]) -> Iterator[RunTuple]:
         from repro.core.model import TraceMeta
-        from repro.exec.runner import execute_spec_serialized
         from repro.tracing.ctf import Trace
 
         try:
@@ -112,6 +159,7 @@ class LocalPoolBackend(DispatchBackend):
         except ImportError as exc:  # pragma: no cover - stdlib always has it
             raise BackendFailure(specs, cause=str(exc)) from exc
 
+        self.used_processes = False
         workers = min(self.max_workers, len(specs))
         remaining = set(specs)
         try:
@@ -171,6 +219,10 @@ class FlakyBackend(DispatchBackend):
     @property
     def used_processes(self) -> bool:  # type: ignore[override]
         return self.inner.used_processes
+
+    @property
+    def max_workers(self) -> int:  # type: ignore[override]
+        return self.inner.max_workers
 
     def execute(self, specs: List[RunSpec]) -> Iterator[RunTuple]:
         if self.failures_left <= 0:

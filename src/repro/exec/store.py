@@ -1,6 +1,6 @@
 """Sharded on-disk blob stores keyed by content hashes.
 
-Generalizes the flat ``ResultCache`` directory into a store that scales to
+Generalizes the flat result-cache directory into a store that scales to
 10k-run sweep campaigns:
 
 * **content-hash-prefix sharding** — every entry lives under a

@@ -4,7 +4,7 @@ The pipeline observes itself with the same discipline the paper demands of
 the kernel: always-on accounting cheap enough to leave enabled, exact
 counters instead of sampled guesses, and honest loss/fallback bookkeeping.
 The registry is dependency-free and process-local; cross-process runs (the
-parallel runner's workers) each fill their own registry and the parent
+process-pool backend's workers) each fill their own registry and the parent
 merges the serialized snapshots.
 
 Overhead discipline

@@ -21,7 +21,7 @@ Cross-process protocol
 period and spill directory through the environment (next to
 :data:`~repro.obs.metrics.OBS_ENV`), so process-pool workers inherit the
 sampling mode exactly like they inherit obs mode.  The worker entry point
-(:func:`repro.exec.runner.execute_spec_serialized`) calls
+(:func:`repro.exec.backend.execute_spec_serialized`) calls
 :func:`maybe_start_worker_sampler` once per process: each worker then
 writes its own ``samples-<pid>.jsonl`` beside the parent's, flushed per
 sample, so a worker killed mid-interval loses nothing already sampled.

@@ -13,8 +13,8 @@ context managers and as decorators::
     @obs.span("nesting")
     def build_activity_table(...): ...
 
-Finished spans land in the registry's per-process buffer; the parallel
-runner serializes worker buffers and merges them into the parent, so one
+Finished spans land in the registry's per-process buffer; the process-pool
+backend serializes worker buffers and merges them into the parent, so one
 chrome-trace export shows every worker as its own process track.
 """
 

@@ -11,11 +11,12 @@ Dedup is identity, not policy: a spec job's id *is* its store token
 content hash), so two clients submitting identical specs share one job
 and one execution, and a re-submitted spec after completion finds its
 finished job already in the table.  The :class:`ShardedStore` is the
-cross-request (and cross-*process*) cache: a cold run goes through a
-:class:`~repro.exec.backend.DispatchBackend` via
-:func:`~repro.exec.backend.dispatch_with_retry` (worker death degrades
-to in-process serial, bit-identical), and its result is put back so the
-next request — or the next server — hits.
+cross-request (and cross-*process*) cache: a spec job is a one-spec
+:meth:`~repro.exec.plan.SweepPlan.execute` over a
+:class:`~repro.exec.backend.DispatchBackend` and the store — the same
+path a sweep takes: a store hit is served, a cold run is dispatched
+(worker death degrades to in-process serial, bit-identical) and put back
+so the next request — or the next server — hits.
 
 Concurrency is an :class:`asyncio.Semaphore` over a thread pool: the
 event loop never blocks on simulation, and at most ``max_concurrency``
@@ -36,12 +37,8 @@ from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.exec.backend import (
-    DispatchBackend,
-    LocalPoolBackend,
-    SerialBackend,
-    dispatch_with_retry,
-)
+from repro.exec.backend import DispatchBackend, LocalPoolBackend, SerialBackend
+from repro.exec.plan import SweepPlan
 from repro.exec.spec import RunSpec
 from repro.exec.store import ShardedStore
 
@@ -255,19 +252,11 @@ class JobTable:
         with obs.span("service.job", workload=spec.workload,
                       seed=spec.seed):
             t0 = time.perf_counter()
-            hit = self.store.get(spec)
-            if hit is not None:
-                trace, meta = hit
-                cached = True
-            else:
-                results = list(dispatch_with_retry(
-                    self._make_backend(), [spec]
-                ))
-                _spec, trace, meta, _elapsed = results[0]
-                self.store.put(spec, trace, meta)
-                cached = False
-            payload = analysis_payload(NoiseAnalysis(trace, meta=meta))
-            return payload, cached, time.perf_counter() - t0
+            (run,) = SweepPlan([spec]).execute(
+                self._make_backend(), self.store
+            )
+            payload = analysis_payload(NoiseAnalysis(run.trace, meta=run.meta))
+            return payload, run.cached, time.perf_counter() - t0
 
     def _make_backend(self) -> DispatchBackend:
         """A fresh backend per cold run: process isolation without a

@@ -1,9 +1,9 @@
-"""Tests for the parallel run-execution layer (repro.exec).
+"""Tests for the run-execution layer (repro.exec).
 
-Covers: RunSpec identity/serialization, the on-disk result cache
-(hit/miss, version invalidation, corruption recovery), the parallel
-runner's ordering/dedup/fallback behaviour, and the determinism contract —
-parallel and serial execution produce bit-identical traces.
+Covers: RunSpec identity/serialization, the on-disk result store
+(hit/miss, version invalidation, corruption recovery), plan execution's
+ordering/dedup/store behaviour, and the determinism contract — pooled
+and serial execution produce bit-identical traces.
 """
 
 import os
@@ -13,9 +13,11 @@ import pytest
 
 from repro.core.sweep import SeedSweep
 from repro.exec import (
-    ParallelRunner,
-    ResultCache,
+    LocalPoolBackend,
     RunSpec,
+    SerialBackend,
+    ShardedStore,
+    SweepPlan,
     dotted_path_of,
     register_workload,
     resolve_factory,
@@ -84,9 +86,9 @@ class TestRunSpec:
             spec_mod._REGISTRY.pop("MY-FTQ", None)
 
 
-class TestResultCache:
+class TestResultStore:
     def test_miss_then_hit_roundtrip(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ShardedStore(str(tmp_path))
         s = spec(0)
         assert cache.get(s) is None
         trace, meta = s.execute()
@@ -100,15 +102,15 @@ class TestResultCache:
 
     def test_version_change_invalidates(self, tmp_path):
         s = spec(0)
-        old = ResultCache(str(tmp_path), version="1.0.0")
+        old = ShardedStore(str(tmp_path), version="1.0.0")
         trace, meta = s.execute()
         old.put(s, trace, meta)
         assert old.get(s) is not None
-        new = ResultCache(str(tmp_path), version="2.0.0")
+        new = ShardedStore(str(tmp_path), version="2.0.0")
         assert new.get(s) is None  # different token -> re-simulate
 
     def test_corrupt_entry_is_a_miss_and_evicted(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ShardedStore(str(tmp_path))
         s = spec(0)
         trace, meta = s.execute()
         cache.put(s, trace, meta)
@@ -119,7 +121,7 @@ class TestResultCache:
         assert not cache.contains(s)
 
     def test_clear(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ShardedStore(str(tmp_path))
         for seed in (0, 1):
             s = spec(seed)
             cache.put(s, *s.execute())
@@ -127,32 +129,39 @@ class TestResultCache:
         assert cache.get(spec(0)) is None
 
 
-class TestParallelRunner:
+def execute(specs, backend=None, store=None, progress=None):
+    """Run ``specs`` as an unjournaled plan; returns (plan, results)."""
+    plan = SweepPlan(specs)
+    results = plan.execute(backend or SerialBackend(), store,
+                           progress=progress)
+    return plan, results
+
+
+class TestPlanExecution:
     def test_results_in_input_order(self):
-        specs = [spec(s) for s in (3, 1, 2)]
-        results = ParallelRunner(parallel=False).run(specs)
+        _, results = execute([spec(s) for s in (3, 1, 2)])
         assert [r.spec.seed for r in results] == [3, 1, 2]
 
     def test_duplicate_specs_simulated_once(self, tmp_path):
-        runner = ParallelRunner(parallel=False,
-                                cache=ResultCache(str(tmp_path)))
-        results = runner.run([spec(7), spec(7)])
-        assert runner.last_simulated == 1
-        assert results[0].trace.to_bytes() == results[1].trace.to_bytes()
+        specs = [spec(7), spec(7)]
+        plan, results = execute(specs, store=ShardedStore(str(tmp_path)))
+        assert plan.last_stats["simulated"] == 1
+        assert plan.last_stats["duplicates"] == 1
+        fanned = plan.results_for(specs, results)
+        assert fanned[0].trace.to_bytes() == fanned[1].trace.to_bytes()
 
     def test_cache_warm_second_run_skips_simulation(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ShardedStore(str(tmp_path))
         specs = [spec(s) for s in range(3)]
-        first = ParallelRunner(parallel=False, cache=cache)
-        assert all(not r.cached for r in first.run(specs))
-        second = ParallelRunner(parallel=False, cache=cache)
-        results = second.run(specs)
+        _, first = execute(specs, store=cache)
+        assert all(not r.cached for r in first)
+        second_plan, results = execute(specs, store=cache)
         assert all(r.cached for r in results)
-        assert second.last_simulated == 0
+        assert second_plan.last_stats["simulated"] == 0
 
     def test_progress_callback_counts_every_run(self):
         seen = []
-        ParallelRunner(parallel=False).run(
+        execute(
             [spec(s) for s in range(3)],
             progress=lambda done, total, sp, cached, el:
                 seen.append((done, total, sp.seed, cached)),
@@ -162,14 +171,16 @@ class TestParallelRunner:
 
     def test_parallel_results_bit_identical_to_serial(self):
         specs = [spec(s) for s in range(4)]
-        serial = ParallelRunner(parallel=False).run(specs)
-        parallel = ParallelRunner(max_workers=2).run(specs)
+        _, serial = execute(specs)
+        plan, parallel = execute(specs, backend=LocalPoolBackend(2))
+        assert plan.last_stats["used_processes"]
+        assert plan.last_stats["workers"] == 2
         for a, b in zip(serial, parallel):
             assert a.trace.to_bytes() == b.trace.to_bytes()
             assert a.meta.to_json() == b.meta.to_json()
 
     def test_analysis_helper(self):
-        result = ParallelRunner(parallel=False).run([spec(0)])[0]
+        _, (result,) = execute([spec(0)])
         analysis = result.analysis()
         assert analysis.span_ns > 0
 
@@ -205,7 +216,7 @@ class TestSeedSweepIntegration:
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
 
     def test_sweep_uses_cache(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ShardedStore(str(tmp_path))
         SeedSweep.run("FTQ", SHORT, [0, 1], ncpus=2, cache=cache)
         assert cache.misses == 2
         SeedSweep.run("FTQ", SHORT, [0, 1], ncpus=2, cache=cache)
@@ -221,11 +232,10 @@ def test_parallel_speedup_on_multicore():
 
     specs = [RunSpec.make("AMG", 1000 * MSEC, s, 4) for s in range(8)]
     t0 = time.perf_counter()
-    ParallelRunner(parallel=False).run(specs)
+    execute(specs)
     serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    runner = ParallelRunner(max_workers=4)
-    runner.run(specs)
+    plan, _ = execute(specs, backend=LocalPoolBackend(4))
     parallel_s = time.perf_counter() - t0
-    assert runner.used_processes
+    assert plan.last_stats["used_processes"]
     assert serial_s / parallel_s >= 2.0

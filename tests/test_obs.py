@@ -385,7 +385,6 @@ _INSTRUMENTED = (
     "repro.core.classify",
     "repro.core.analysis",
     "repro.exec.store",
-    "repro.exec.runner",
     "repro.exec.backend",
     "repro.exec.plan",
     "repro.exec.journal",
@@ -684,7 +683,7 @@ class TestSampleMerge:
     def test_pool_workers_spill_and_merge_into_one_timeline(self, tmp_path):
         """Parent + pool workers each write samples-<pid>.jsonl; the merge
         is one globally time-ordered series, monotonic per worker."""
-        from repro.exec import LocalPoolBackend, ParallelRunner, RunSpec
+        from repro.exec import LocalPoolBackend, RunSpec, SweepPlan
         from repro.util.units import MSEC
 
         spill = str(tmp_path / "samples")
@@ -692,9 +691,8 @@ class TestSampleMerge:
         sampler = obs.Sampler(period_s=0.02, spill_dir=spill)
         sampler.start(export_env=True)
         try:
-            runner = ParallelRunner(backend=LocalPoolBackend(2))
             specs = [RunSpec.make("FTQ", 60 * MSEC, s, 2) for s in range(4)]
-            results = runner.run(specs)
+            results = SweepPlan(specs).execute(LocalPoolBackend(2))
         finally:
             sampler.stop()
         assert len(results) == 4
@@ -719,12 +717,7 @@ class TestSampleMerge:
     def test_worker_death_loses_no_samples(self, tmp_path):
         """FlakyBackend kills the dispatch mid-campaign; the spill stays
         gap-free and a later sample records the death counter."""
-        from repro.exec import (
-            FlakyBackend,
-            ParallelRunner,
-            RunSpec,
-            SerialBackend,
-        )
+        from repro.exec import FlakyBackend, RunSpec, SerialBackend, SweepPlan
         from repro.util.units import MSEC
 
         spill = str(tmp_path / "samples")
@@ -733,9 +726,8 @@ class TestSampleMerge:
         sampler.start()
         try:
             flaky = FlakyBackend(SerialBackend(), failures=1, survive=1)
-            runner = ParallelRunner(backend=flaky, backoff_s=0.001)
             specs = [RunSpec.make("FTQ", 60 * MSEC, s, 2) for s in range(4)]
-            results = runner.run(specs)
+            results = SweepPlan(specs).execute(flaky)
         finally:
             sampler.stop()
         assert len(results) == 4 and flaky.injected == 1

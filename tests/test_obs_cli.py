@@ -208,10 +208,10 @@ class TestObsTail:
 
     def _sweep(self, tmp_path, progress=None):
         from repro.core.sweep import SeedSweep
-        from repro.exec import ResultCache, RunSpec, SweepPlan
+        from repro.exec import RunSpec, ShardedStore, SweepPlan
         from repro.util.units import MSEC
 
-        cache = ResultCache(str(tmp_path / "store"))
+        cache = ShardedStore(str(tmp_path / "store"))
         plan_dir = str(tmp_path / "plan")
         specs = [RunSpec.make("FTQ", 60 * MSEC, s, 2) for s in self.SEEDS]
         if SweepPlan.exists(plan_dir):

@@ -22,10 +22,9 @@ from repro.exec import (
     FlakyBackend,
     Journal,
     LocalPoolBackend,
-    ParallelRunner,
-    ResultCache,
     RunSpec,
     SerialBackend,
+    ShardedStore,
     SweepPlan,
     dispatch_with_retry,
 )
@@ -134,9 +133,8 @@ class TestSweepPlan:
         specs = [spec(2), spec(0), spec(1), spec(0)]
         plan = SweepPlan(specs, shards=4, plan_dir=str(tmp_path))
         plan.save()
-        runner = ParallelRunner(parallel=False,
-                                cache=ResultCache(str(tmp_path / "store")))
-        results = plan.execute(runner)
+        results = plan.execute(SerialBackend(),
+                               ShardedStore(str(tmp_path / "store")))
         assert [r.spec.seed for r in results] == [2, 0, 1]
         fanned = plan.results_for(specs, results)
         assert [r.spec.seed for r in fanned] == [2, 0, 1, 0]
@@ -149,7 +147,7 @@ class TestSweepPlan:
         plan = SweepPlan([spec(s) for s in range(4)], shards=2,
                          plan_dir=str(tmp_path))
         plan.save()
-        plan.execute(ParallelRunner(parallel=False))
+        plan.execute(SerialBackend())
         states = plan.journal().replay()
         assert set(states) == set(plan.tokens)
         assert set(states.values()) == {"done"}
@@ -160,7 +158,7 @@ class TestSweepPlan:
                          shards=1, plan_dir=str(tmp_path))
         plan.save()
         with pytest.raises(ValueError):
-            plan.execute(ParallelRunner(parallel=False))
+            plan.execute(SerialBackend())
         counts = plan.journal().counts()
         assert counts["failed"] >= 1
         issues = plan.verify_journal()
@@ -206,10 +204,9 @@ class TestBackends:
 
     def test_runner_with_flaky_backend_bit_identical(self, tmp_path):
         specs = [spec(s) for s in range(4)]
-        baseline = ParallelRunner(parallel=False).run(specs)
+        baseline = SweepPlan(specs).execute(SerialBackend())
         flaky = FlakyBackend(SerialBackend(), failures=2, survive=1)
-        runner = ParallelRunner(backend=flaky, backoff_s=0.001)
-        recovered = runner.run(specs)
+        recovered = SweepPlan(specs).execute(flaky)
         assert flaky.injected == 2
         for a, b in zip(baseline, recovered):
             assert a.trace.to_bytes() == b.trace.to_bytes()
@@ -233,7 +230,7 @@ class TestInterruptResume:
     SEEDS = list(range(12))
 
     def _planned_sweep(self, tmp_path, progress=None, backend=None):
-        cache = ResultCache(str(tmp_path / "store"))
+        cache = ShardedStore(str(tmp_path / "store"))
         specs = [spec(s) for s in self.SEEDS]
         plan_dir = str(tmp_path / "plan")
         if SweepPlan.exists(plan_dir):
@@ -291,6 +288,120 @@ class TestInterruptResume:
         baseline = _serial_baseline(self.SEEDS)
         assert list(swept.noise_fraction().values) == \
             list(baseline.noise_fraction().values)
+
+
+# ----------------------------------------------------------------------
+# One execution path: planned and unplanned sweeps report alike
+# ----------------------------------------------------------------------
+
+#: exec_stats keys that depend on timing or on how the plan was sharded
+#: and dispatched, not on what the sweep did.
+_HOW_KEYS = ("wall_s", "busy_s", "shards", "backend")
+
+
+def _what(stats):
+    return {k: v for k, v in stats.items() if k not in _HOW_KEYS}
+
+
+class TestSweepReporting:
+    SEEDS = list(range(12))
+
+    def _pool_sweep_last_shard_cached(self, tmp_path):
+        """A 3-shard planned pool sweep whose last non-empty shard was
+        already simulated by an earlier sweep on the same store."""
+        store = ShardedStore(str(tmp_path / "store"))
+        plan = SweepPlan([spec(s) for s in self.SEEDS], shards=3,
+                         plan_dir=str(tmp_path / "plan"))
+        plan.save()
+        last = [shard for shard in plan.shards if shard.specs][-1]
+        prestored = [s.seed for s in last.specs]
+        SeedSweep.run("FTQ", SHORT, prestored, ncpus=2, cache=store)
+        sweep = SeedSweep.run("FTQ", SHORT, self.SEEDS, ncpus=2,
+                              parallel=True, max_workers=2, cache=store,
+                              plan=plan)
+        return sweep, len(prestored)
+
+    def test_pool_sweep_with_cached_last_shard_reports_workers(
+            self, tmp_path):
+        sweep, cached = self._pool_sweep_last_shard_cached(tmp_path)
+        assert f"{cached} cached" in sweep.exec_summary
+        assert "(2 workers)" in sweep.exec_summary
+        stats = sweep.exec_stats
+        assert stats["simulated"] == len(self.SEEDS) - cached
+        assert stats["used_processes"] and stats["workers"] == 2
+
+    def test_cache_counts_are_per_sweep(self, tmp_path):
+        sweep, cached = self._pool_sweep_last_shard_cached(tmp_path)
+        missed = len(self.SEEDS) - cached
+        assert sweep.exec_stats["cache_hits"] == cached
+        assert sweep.exec_stats["cache_misses"] == missed
+        assert f"cache {cached} hits, {missed} misses" in sweep.exec_summary
+
+    def test_unplanned_sweep_writes_no_plan_files(self, tmp_path):
+        store = ShardedStore(str(tmp_path / "store"))
+        SeedSweep.run("FTQ", SHORT, [0, 1], ncpus=2, cache=store)
+        assert sorted(os.listdir(tmp_path)) == ["store"]
+
+
+class TestExecutionDifferential:
+    """One duplicated seed list run unplanned, planned (journaled, four
+    shards) and planned over a dying backend: same bytes, same stats,
+    and one store lookup per unique spec."""
+
+    SEEDS = [3, 1, 3, 2, 1]
+    UNIQUE = 3
+
+    def _three_ways(self, tmp_path, flaky):
+        out = {}
+        for way in ("unplanned", "planned", "flaky"):
+            root = tmp_path / way
+            store = ShardedStore(str(root / "store"))
+            plan = None
+            if way != "unplanned":
+                plan_dir = str(root / "plan")
+                if SweepPlan.exists(plan_dir):
+                    plan = SweepPlan.load(plan_dir)
+                else:
+                    plan = SweepPlan([spec(s) for s in self.SEEDS],
+                                     shards=4, plan_dir=plan_dir)
+                    plan.save()
+            lookups0 = store.hits + store.misses
+            sweep = SeedSweep.run(
+                "FTQ", SHORT, self.SEEDS, ncpus=2, cache=store, plan=plan,
+                backend=flaky if way == "flaky" else None,
+            )
+            out[way] = (sweep, store, store.hits + store.misses - lookups0)
+        return out
+
+    def test_three_paths_agree(self, tmp_path):
+        flaky = FlakyBackend(SerialBackend(), failures=2)
+        cold = self._three_ways(tmp_path, flaky)
+        assert flaky.injected == 2
+        warm = self._three_ways(tmp_path, flaky)
+
+        ref_sweep, ref_store, _ = cold["unplanned"]
+        for passes in (cold, warm):
+            for sweep, store, lookups in passes.values():
+                assert lookups == self.UNIQUE
+                assert set(sweep.exec_stats) == set(ref_sweep.exec_stats)
+                assert len(sweep.analyses) == len(self.SEEDS)
+                for a, b in zip(sweep.analyses, ref_sweep.analyses):
+                    assert a.records.tobytes() == b.records.tobytes()
+                    assert a.total_noise_ns() == b.total_noise_ns()
+                for seed in set(self.SEEDS):
+                    (trace, meta), (ref_trace, ref_meta) = (
+                        store.get(spec(seed)), ref_store.get(spec(seed))
+                    )
+                    assert trace.to_bytes() == ref_trace.to_bytes()
+                    assert meta.to_json() == ref_meta.to_json()
+            stats = [_what(p[0].exec_stats) for p in passes.values()]
+            assert stats[0] == stats[1] == stats[2]
+        assert _what(cold["planned"][0].exec_stats) == {
+            "runs": 3, "cached": 0, "simulated": 3, "duplicates": 2,
+            "workers": 1, "used_processes": False, "failures": 0,
+            "cache_hits": 0, "cache_misses": 3,
+        }
+        assert warm["planned"][0].exec_stats["cached"] == self.UNIQUE
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +481,7 @@ class TestSweepPlanCLI:
         err = capsys.readouterr().err
         assert "budget 1 bytes" in err
         # Budget of one byte: every put evicts the previous entry.
-        store = ResultCache(str(tmp_path / "cache"))
+        store = ShardedStore(str(tmp_path / "cache"))
         assert len(store.entries()) == 1
 
 

@@ -3,14 +3,14 @@
 Covers: hash-prefix shard layout, legacy flat-layout readback, size
 budgets with mtime-LRU eviction, durable atomic writes, and enumeration/
 clearing across shards.  The hit/miss/corruption contract shared with the
-old flat cache stays covered by tests/test_exec.py's TestResultCache.
+old flat cache stays covered by tests/test_exec.py's TestResultStore.
 """
 
 import os
 
 import pytest
 
-from repro.exec import ResultCache, RunSpec, ShardedStore
+from repro.exec import RunSpec, ShardedStore
 from repro.util.units import MSEC
 
 SHORT = 60 * MSEC
@@ -60,9 +60,6 @@ class TestShardLayout:
         hit = store.get(s)
         assert hit is not None
         assert hit[0].to_bytes() == trace.to_bytes()
-
-    def test_resultcache_is_a_sharded_store(self, tmp_path):
-        assert isinstance(ResultCache(str(tmp_path)), ShardedStore)
 
 
 class TestBudgetEviction:

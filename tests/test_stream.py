@@ -449,7 +449,7 @@ def test_byte_stream_empty_raises_batch_error():
 def test_streaming_run_matches_batch_run():
     """execute_spec_streaming never assembles a trace, yet matches the
     analysis of the identically-seeded batch run exactly."""
-    from repro.exec.runner import execute_spec_streaming
+    from repro.exec import execute_spec_streaming
     from repro.exec.spec import RunSpec
 
     spec = RunSpec(workload="ftq", duration_ns=300 * MSEC, seed=11, ncpus=2)
