@@ -7,17 +7,23 @@ only benches here where pytest-benchmark's statistics mean something).
 """
 
 import os
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from repro.core import NoiseAnalysis, TraceMeta
-from repro.core.reference import ReferenceAnalysis
 from repro.util.units import MSEC, SEC
 from repro.workloads import SequoiaWorkload
 
 from trajectory import record_metric
+
+# The frozen per-object oracle lives with the tests that use it.
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests")
+)
+from reference import ReferenceAnalysis  # noqa: E402
 
 
 def test_perf_simulation(benchmark):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.check.framework import (
     FACT_EXTRACTORS,
@@ -38,14 +38,6 @@ from repro.check.framework import (
     SourceFile,
     Violation,
 )
-
-#: Files no rule ever checks.  ``core/reference.py`` is the seed object
-#: pipeline kept verbatim as the differential-testing baseline (PR 2); it
-#: intentionally preserves pre-columnar idioms the linter now forbids.
-EXCLUDED_MODPATHS: Tuple[str, ...] = (
-    "repro/core/reference.py",
-)
-
 
 @dataclass
 class CheckResult:
@@ -172,9 +164,6 @@ def run_project(
     """The project phase: selection, project rules, suppression, hygiene."""
     selected = {r.upper() for r in select} if select else None
     ignored = {r.upper() for r in ignore} if ignore else set()
-    records = [
-        r for r in records if r.modpath not in EXCLUDED_MODPATHS
-    ]
     result = CheckResult(files_checked=len(records))
 
     def wanted(rule_id: str) -> bool:

@@ -2,11 +2,7 @@
 
 from repro.core.analysis import NoiseAnalysis, binned_noise_ns
 from repro.core.chart import SyntheticNoiseChart, build_interruptions
-from repro.core.classify import (
-    classify_activities,
-    classify_table,
-    noise_activities,
-)
+from repro.core.classify import classify_table, noise_activities
 from repro.core.cluster import ClusterStudy, NodeRun
 from repro.core.compare import FtqComparison, compare_ftq
 from repro.core.disambiguate import (
@@ -34,12 +30,7 @@ from repro.core.model import (
     PREEMPT_EVENT,
     TraceMeta,
 )
-from repro.core.nesting import (
-    build_activities,
-    build_activity_table,
-    build_preemption_table,
-    build_preemptions,
-)
+from repro.core.nesting import build_activity_table, build_preemption_table
 from repro.core.noise_model import (
     NoiseProfile,
     NoiseSource,
@@ -72,7 +63,6 @@ __all__ = [
     "binned_noise_ns",
     "SyntheticNoiseChart",
     "build_interruptions",
-    "classify_activities",
     "classify_table",
     "noise_activities",
     "ClusterStudy",
@@ -98,10 +88,8 @@ __all__ = [
     "NoiseCategory",
     "PREEMPT_EVENT",
     "TraceMeta",
-    "build_activities",
     "build_activity_table",
     "build_preemption_table",
-    "build_preemptions",
     "StateInterval",
     "TaskTimeline",
     "EventDelta",

@@ -43,7 +43,7 @@ from repro.core.model import (
 )
 from repro.core.nesting import build_activity_table, build_preemption_table
 from repro.tracing.ctf import Trace
-from repro.tracing.events import NAME_TO_EVENT, RECORD_DTYPE
+from repro.tracing.events import Ev, NAME_TO_EVENT, RECORD_DTYPE
 from repro.util.stats import DurationStats, describe_durations
 
 #: Name accepted for the scheduler-derived pseudo event.
@@ -93,6 +93,17 @@ def binned_noise_ns(
     )
     np.maximum(overlap, 0, out=overlap)
     np.add.at(out, q, overlap * density[idx])
+    return out
+
+
+def marker_rows(records: np.ndarray) -> np.ndarray:
+    """The ``MARKER`` point events of ``records`` as ``(time, pid, arg)``
+    int64 rows, in record order."""
+    chosen = records[records["event"] == int(Ev.MARKER)]
+    out = np.zeros((len(chosen), 3), dtype=np.int64)
+    out[:, 0] = chosen["time"]
+    out[:, 1] = chosen["pid"]
+    out[:, 2] = chosen["arg"].astype(np.int64)
     return out
 
 
@@ -316,16 +327,7 @@ class NoiseAnalysis:
     def markers(self) -> "np.ndarray":
         """Workload marker point events as ``(time, pid, arg)`` rows
         (phase changes, FTQ quantum marks, ...)."""
-        from repro.tracing.events import Ev
-
-        records = self.records
-        mask = records["event"] == int(Ev.MARKER)
-        chosen = records[mask]
-        out = np.zeros((int(mask.sum()), 3), dtype=np.int64)
-        out[:, 0] = chosen["time"]
-        out[:, 1] = chosen["pid"]
-        out[:, 2] = chosen["arg"].astype(np.int64)
-        return out
+        return marker_rows(self.records)
 
     def noise_timeline(
         self,

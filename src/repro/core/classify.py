@@ -20,10 +20,10 @@ Activities of the tracer's own collection daemon are excluded entirely
 
 Classification is columnar: categories come from an event-id lookup table,
 the context kind from one ``np.unique`` pass over pids, and the
-displaced-rank test from a per-CPU ``searchsorted`` against the preemption
-windows.  :func:`classify_activities` remains the object-path wrapper: it
-mutates the given ``Activity`` objects in place and returns them merged and
-time-sorted, exactly as before.
+displaced-rank test from one ``searchsorted`` of (cpu, start) keys against
+the preemption windows.  The streaming engine (:mod:`repro.stream.engine`)
+applies the same kernel to each block of finalized rows against the
+retained window history.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ from repro.core.model import (
     Activity,
     ActivityTable,
     CATEGORY_CODE,
-    CATEGORY_ORDER,
     EVENT_CATEGORY,
     NoiseCategory,
     PREEMPT_EVENT,
     TRACER_PREEMPT_EVENT,
     TraceMeta,
+    cpu_time_keys,
 )
 from repro.simkernel.task import TaskKind
 
@@ -55,12 +55,6 @@ for _ev, _cat in EVENT_CATEGORY.items():
 
 _SERVICE = CATEGORY_CODE[NoiseCategory.SERVICE]
 _TRACER = CATEGORY_CODE[NoiseCategory.TRACER]
-
-#: Public aliases so the streaming engine (:mod:`repro.stream`) classifies
-#: with the exact same tables the batch path uses.
-CATEGORY_LUT = _CATEGORY_LUT
-SERVICE_CODE = _SERVICE
-TRACER_CODE = _TRACER
 
 
 def classify_table(
@@ -85,6 +79,9 @@ def classify_table(
 def _classify_inplace(
     kacts: ActivityTable, preemptions: ActivityTable, meta: TraceMeta
 ) -> None:
+    """Set category and noise flag on both tables.  ``preemptions`` must
+    hold every window that can cover a row of ``kacts`` (the last one
+    starting at or before the row, per CPU)."""
     kd = kacts.data
     pd = preemptions.data
 
@@ -112,59 +109,30 @@ def _classify_inplace(
 
     noise = eligible & is_rank
     daemon_rows = np.flatnonzero(eligible & ~is_rank & ~is_idle)
-    if len(daemon_rows) and len(pd):
+    wsel = np.flatnonzero(
+        (pd["event"] == PREEMPT_EVENT) | (pd["event"] == TRACER_PREEMPT_EVENT)
+    )
+    if len(daemon_rows) and len(wsel):
         # Daemon context: noise only if the daemon displaced a runnable
         # rank — then this activity delays that rank too.  The covering
-        # window is the last one starting at or before the activity.
-        wmask = (pd["event"] == PREEMPT_EVENT) | (
-            pd["event"] == TRACER_PREEMPT_EVENT
+        # window is the last one on the CPU starting at or before the
+        # activity.
+        w_key, row_key = cpu_time_keys(
+            (pd["cpu"][wsel], pd["start"][wsel]),
+            (kd["cpu"][daemon_rows], kd["start"][daemon_rows]),
         )
-        for cpu in np.unique(kd["cpu"][daemon_rows]):
-            wsel = wmask & (pd["cpu"] == cpu)
-            if not wsel.any():
-                continue
-            ws = pd["start"][wsel]
-            worder = np.argsort(ws, kind="stable")
-            ws = ws[worder]
-            we = pd["end"][wsel][worder]
-            wdisp = pd["displaced_pid"][wsel][worder]
-            rows = daemon_rows[kd["cpu"][daemon_rows] == cpu]
-            starts = kd["start"][rows]
-            idx = np.searchsorted(ws, starts, side="right") - 1
-            ok = idx >= 0
-            hit = np.zeros(len(rows), dtype=bool)
-            hit[ok] = (we[idx[ok]] > starts[ok]) & (wdisp[idx[ok]] >= 0)
-            noise[rows[hit]] = True
+        worder = w_key.argsort(kind="stable")
+        wsel = wsel[worder]
+        idx = w_key[worder].searchsorted(row_key, side="right") - 1
+        ok = idx >= 0
+        ok[ok] = pd["cpu"][wsel[idx[ok]]] == kd["cpu"][daemon_rows[ok]]
+        cover = wsel[idx[ok]]
+        rows = daemon_rows[ok]
+        hit = (pd["end"][cover] > kd["start"][rows]) & (
+            pd["displaced_pid"][cover] >= 0
+        )
+        noise[rows[hit]] = True
     kd["is_noise"] = noise
-
-
-def classify_activities(
-    kacts: List[Activity],
-    preemptions: List[Activity],
-    meta: TraceMeta,
-) -> List[Activity]:
-    """Object-path wrapper: assign categories and noise flags in place;
-    returns all activities merged and time-sorted."""
-    kt = ActivityTable.from_rows(kacts, meta=meta)
-    pt = ActivityTable.from_rows(preemptions, meta=meta)
-    _classify_inplace(kt, pt, meta)
-    for act, code, flag in zip(  # noiselint: disable=HOT001 -- object-path compat wrapper, not the columnar hot path
-        kacts,
-        kt.data["category"].tolist(),
-        kt.data["is_noise"].tolist(),
-    ):
-        act.category = CATEGORY_ORDER[code]
-        act.is_noise = flag
-    for window, code, flag in zip(  # noiselint: disable=HOT001 -- object-path compat wrapper, not the columnar hot path
-        preemptions,
-        pt.data["category"].tolist(),
-        pt.data["is_noise"].tolist(),
-    ):
-        window.category = CATEGORY_ORDER[code]
-        window.is_noise = flag
-    merged = kacts + preemptions
-    merged.sort(key=lambda a: (a.start, a.cpu, a.depth))
-    return merged
 
 
 def noise_mask(table: ActivityTable) -> np.ndarray:

@@ -100,6 +100,35 @@ ACTIVITY_DTYPE = np.dtype(
 )
 
 
+def concat_rows(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` for structured arrays of one dtype, without
+    numpy's per-call field promotion (a Python-level step that costs more
+    than the copy on small blocks)."""
+    if len(parts) == 1:
+        return parts[0]
+    dtype = parts[0].dtype
+    raw = np.dtype((np.void, dtype.itemsize))
+    return np.concatenate([part.view(raw) for part in parts]).view(dtype)
+
+
+def cpu_time_keys(
+    *pairs: Tuple[np.ndarray, np.ndarray]
+) -> List[np.ndarray]:
+    """One int64 key per ``(cpu, time)`` element of each ``(cpus, times)``
+    pair, ordered like the pairs themselves (CPU-major), so one sorted
+    key array and ``searchsorted`` serve every CPU at once.  Times enter
+    as their dense rank, so keys cannot overflow."""
+    uniq, rank = np.unique(
+        np.concatenate([times for _, times in pairs]), return_inverse=True
+    )
+    keys = (
+        np.concatenate([cpus for cpus, _ in pairs]).astype(np.int64)
+        * len(uniq) + rank
+    )
+    bounds = np.cumsum([len(times) for _, times in pairs]).tolist()
+    return [keys[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
+
+
 @dataclass
 class Activity:
     """One reconstructed kernel activity instance."""

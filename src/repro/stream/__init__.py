@@ -8,10 +8,12 @@ same answers incrementally, packet by packet:
 * :class:`StreamDecoder` — incremental bytes -> :class:`Packet` decoding,
   tolerant of arbitrary feed boundaries (a packet may arrive split across
   many reads);
-* :class:`StreamEngine` — the sequential record processor: ENTRY/EXIT
-  pairing, preemption-window reconstruction, and noise classification,
-  producing finalized activity rows as soon as their outcome is decided;
-* :class:`WindowMerger` — stitches per-window results: exact integer
+* :class:`StreamEngine` — cuts the records into canonical-order blocks
+  and runs the batch kernels (ENTRY/EXIT pairing, preemption windows,
+  nested-time subtraction, noise classification) on each, carrying only
+  open state across block boundaries and emitting every activity row once
+  it is final;
+* :class:`WindowMerger` — folds the row blocks into exact integer
   aggregates, per-quantum timeline bins sealed once no in-flight activity
   can still touch them, and per-window :class:`ActivityTable` chunks;
 * :class:`StreamingAnalysis` — the facade mirroring ``NoiseAnalysis``'s

@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.core.analysis import _resolve_event
+from repro.core.analysis import _resolve_event, marker_rows
 from repro.core.model import ActivityTable, NoiseCategory, TraceMeta
 from repro.stream.decoder import StreamDecoder, iter_packets_chronological
 from repro.stream.engine import StreamEngine
@@ -98,7 +98,7 @@ class StreamingAnalysis:
             ),
         )
         self._engine = StreamEngine(
-            self.end_ts, self.meta, on_row=self._merger.add, strict=strict
+            self.meta, on_rows=self._merger.add, strict=strict
         )
         self._wm: Dict[int, int] = {}
         self._next_boundary = (
@@ -370,19 +370,7 @@ class StreamingAnalysis:
     def markers(self) -> np.ndarray:
         """Workload marker point events as ``(time, pid, arg)`` rows."""
         self._require_finished()
-        found = self._engine.markers
-        out = np.zeros((len(found), 3), dtype=np.int64)
-        if found:
-            out[:, 0] = np.array(
-                [t for t, _, _ in found], dtype=np.uint64
-            ).astype(np.int64)
-            out[:, 1] = np.array(
-                [pid for _, pid, _ in found], dtype=np.int64
-            )
-            out[:, 2] = np.array(
-                [arg for _, _, arg in found], dtype=np.uint64
-            ).astype(np.int64)
-        return out
+        return marker_rows(self._engine.markers())
 
     def noise_timeline(
         self,

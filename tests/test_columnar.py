@@ -1,6 +1,6 @@
 """Differential tests: columnar ActivityTable core vs the reference
-object-path implementation (the pre-refactor per-object loops, retained in
-``repro.core.reference``).
+object-path implementation (the pre-refactor per-object loops, frozen in
+``tests/reference.py``).
 
 Randomized record streams — nested entries/exits, unmatched exits,
 truncation, preemption chains — must produce *exactly* equal outputs from
@@ -21,10 +21,10 @@ from repro.core.model import (
     NoiseCategory,
     PREEMPT_EVENT,
 )
-from repro.core.reference import ReferenceAnalysis
 from repro.simkernel.task import TaskState
 from repro.tracing.events import Ev
 from recbuild import DAEMON, RANK, RANK2, TRACERD, RecordBuilder, meta
+from reference import ReferenceAnalysis
 
 PAIRED = [
     Ev.IRQ_TIMER,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.nesting import build_activities, build_preemptions
+from repro.core.nesting import build_activity_table, build_preemption_table
 from repro.core.model import PREEMPT_EVENT, TRACER_PREEMPT_EVENT
 from repro.simkernel.task import TaskState
 from repro.tracing.events import Ev
@@ -12,7 +12,7 @@ from recbuild import DAEMON, IDLE, RANK, TRACERD, RecordBuilder, meta
 class TestPairedReconstruction:
     def test_simple_activity(self):
         records = RecordBuilder().activity(100, 600, Ev.IRQ_TIMER).build()
-        acts = build_activities(records, end_ts=1000)
+        acts = build_activity_table(records, end_ts=1000).rows()
         assert len(acts) == 1
         act = acts[0]
         assert act.name == "timer_interrupt"
@@ -28,7 +28,7 @@ class TestPairedReconstruction:
             .exit(1100, Ev.EXC_PAGE_FAULT)
             .build()
         )
-        acts = build_activities(records, end_ts=2000)
+        acts = build_activity_table(records, end_ts=2000).rows()
         by_name = {a.name: a for a in acts}
         fault = by_name["page_fault"]
         irq = by_name["timer_interrupt"]
@@ -47,7 +47,7 @@ class TestPairedReconstruction:
             .exit(1000, Ev.SYSCALL)
             .build()
         )
-        acts = build_activities(records, end_ts=2000)
+        acts = build_activity_table(records, end_ts=2000).rows()
         by_name = {a.name: a for a in acts}
         assert by_name["syscall"].self_ns == 1000 - 300
         assert by_name["page_fault"].self_ns == 300 - 100
@@ -57,19 +57,19 @@ class TestPairedReconstruction:
 
     def test_truncated_at_trace_end(self):
         records = RecordBuilder().entry(500, Ev.SYSCALL).build()
-        acts = build_activities(records, end_ts=800)
+        acts = build_activity_table(records, end_ts=800).rows()
         assert len(acts) == 1
         assert acts[0].truncated
         assert acts[0].total_ns == 300
 
     def test_unmatched_exit_skipped(self):
         records = RecordBuilder().exit(100, Ev.IRQ_TIMER).build()
-        assert build_activities(records, end_ts=200) == []
+        assert build_activity_table(records, end_ts=200).rows() == []
 
     def test_unmatched_exit_strict_raises(self):
         records = RecordBuilder().exit(100, Ev.IRQ_TIMER).build()
         with pytest.raises(ValueError):
-            build_activities(records, end_ts=200, strict=True)
+            build_activity_table(records, end_ts=200, strict=True)
 
     def test_per_cpu_streams_independent(self):
         records = (
@@ -80,7 +80,7 @@ class TestPairedReconstruction:
             .exit(300, Ev.IRQ_TIMER, cpu=0)
             .build()
         )
-        acts = build_activities(records, end_ts=1000)
+        acts = build_activity_table(records, end_ts=1000).rows()
         by_name = {a.name: a for a in acts}
         # Same-time overlap on different CPUs is NOT nesting.
         assert by_name["timer_interrupt"].self_ns == 200
@@ -95,7 +95,7 @@ class TestPairedReconstruction:
             .activity(100, 200, Ev.IRQ_TIMER)
             .build()
         )
-        acts = build_activities(records, end_ts=300)
+        acts = build_activity_table(records, end_ts=300).rows()
         assert len(acts) == 1
 
 
@@ -115,7 +115,9 @@ class TestPreemptionWindows:
         )
 
     def test_window_detected(self):
-        windows = build_preemptions(self._preempt_records(), meta(), end_ts=5000)
+        windows = build_preemption_table(
+            self._preempt_records(), meta(), end_ts=5000
+        ).rows()
         assert len(windows) == 1
         w = windows[0]
         assert w.event == PREEMPT_EVENT
@@ -131,13 +133,13 @@ class TestPreemptionWindows:
             .switch(3000, DAEMON, IDLE)
             .build()
         )
-        windows = build_preemptions(records, meta(), end_ts=5000)
+        windows = build_preemption_table(records, meta(), end_ts=5000).rows()
         assert windows == []
 
     def test_tracer_daemon_window_tagged(self):
-        windows = build_preemptions(
+        windows = build_preemption_table(
             self._preempt_records(daemon=TRACERD), meta(), end_ts=5000
-        )
+        ).rows()
         assert len(windows) == 1
         assert windows[0].event == TRACER_PREEMPT_EVENT
 
@@ -151,7 +153,7 @@ class TestPreemptionWindows:
             .state(2500, RANK, TaskState.RUNNING)
             .build()
         )
-        windows = build_preemptions(records, meta(), end_ts=5000)
+        windows = build_preemption_table(records, meta(), end_ts=5000).rows()
         assert len(windows) == 2
         assert windows[0].end == 2000 and windows[1].start == 2000
         assert all(w.displaced_pid == RANK for w in windows)
@@ -163,7 +165,7 @@ class TestPreemptionWindows:
             .switch(1000, RANK, DAEMON)
             .build()
         )
-        windows = build_preemptions(records, meta(), end_ts=4000)
+        windows = build_preemption_table(records, meta(), end_ts=4000).rows()
         assert len(windows) == 1
         assert windows[0].truncated and windows[0].end == 4000
 
@@ -172,9 +174,9 @@ class TestPreemptionWindows:
         kact_records = (
             RecordBuilder().activity(1500, 1900, Ev.IRQ_TIMER, pid=DAEMON).build()
         )
-        kacts = build_activities(kact_records, end_ts=5000)
-        windows = build_preemptions(
-            records, meta(), end_ts=5000, kact_activities=kacts
-        )
+        kacts = build_activity_table(kact_records, end_ts=5000)
+        windows = build_preemption_table(
+            records, meta(), end_ts=5000, kact_table=kacts
+        ).rows()
         assert windows[0].total_ns == 2000
         assert windows[0].self_ns == 1600

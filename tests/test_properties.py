@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import NoiseAnalysis, build_activities, build_interruptions
+from repro.core import NoiseAnalysis, build_activity_table, build_interruptions
 from repro.io.paraver import ParaverWriter, parse_prv
 from repro.tracing.events import Ev, Flag, RECORD_DTYPE
 from recbuild import RANK, RecordBuilder, meta
@@ -61,7 +61,7 @@ def nested_structures(draw):
 @settings(max_examples=60, deadline=None)
 def test_nesting_invariants(data):
     records, segments, t_end = data
-    acts = build_activities(records, end_ts=t_end)
+    acts = build_activity_table(records, end_ts=t_end).rows()
     # 1. Every activity: 0 <= self <= total.
     for act in acts:
         assert 0 <= act.self_ns <= act.total_ns
