@@ -1,11 +1,13 @@
 """Discrete-event simulation core.
 
-A single binary-heap event queue over an integer-nanosecond clock.  Ties are
-broken by insertion order so runs are fully deterministic (DESIGN.md §6).
-Cancellation is lazy: a cancelled event stays in the heap but is skipped when
-popped, which keeps ``cancel`` O(1) — the simulated kernel cancels pending
-completions constantly (every time an interrupt nests above a running
-activity).
+A single binary-heap event queue over an integer-nanosecond clock.  Heap
+entries are ``(time, seq, event)`` tuples, so ``heapq`` orders them by
+comparing two ints in C; ``seq`` is unique, so the comparison never reaches
+the event, and ties at one time break by insertion order — runs are fully
+deterministic (DESIGN.md §6).  Cancellation is lazy: a cancelled event stays
+in the heap but is skipped when popped, which keeps ``cancel`` O(1) — the
+simulated kernel cancels pending completions constantly (every time an
+interrupt nests above a running activity).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import heapq
 import time
 import warnings
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro import obs
 from repro.util.rng import RngLike, make_rng
@@ -25,7 +27,10 @@ class SimBudgetWarning(RuntimeWarning):
 
 
 class SimEvent:
-    """A scheduled callback.  Returned by :meth:`Engine.schedule` as a handle."""
+    """A scheduled callback.  Returned by :meth:`Engine.schedule` as a handle.
+
+    The heap orders ``(time, seq, event)`` entries, never events, so an
+    event needs no ordering of its own."""
 
     __slots__ = ("time", "seq", "fn", "cancelled")
 
@@ -38,11 +43,6 @@ class SimEvent:
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
         self.cancelled = True
-
-    def __lt__(self, other: "SimEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -62,7 +62,7 @@ class Engine:
     def __init__(self, seed: RngLike = 0) -> None:
         self.now: int = 0
         self.rng = make_rng(seed)
-        self._heap: List[SimEvent] = []
+        self._heap: List[Tuple[int, int, SimEvent]] = []
         self._seq = 0
         self._running = False
         #: Lifetime count of executed (non-cancelled) events; one integer
@@ -80,9 +80,10 @@ class Engine:
             raise ValueError(
                 f"cannot schedule in the past (now={self.now}, at={at_ns})"
             )
-        ev = SimEvent(at_ns, self._seq, fn)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
+        seq = self._seq
+        self._seq = seq + 1
+        ev = SimEvent(at_ns, seq, fn)
+        heapq.heappush(self._heap, (at_ns, seq, ev))
         return ev
 
     def schedule_after(self, delay_ns: int, fn: Callable[[], None]) -> SimEvent:
@@ -97,15 +98,32 @@ class Engine:
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next live event, or None if the queue is drained."""
         self._drop_cancelled_head()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
+
+    def _enter(self) -> None:
+        """Claim the event loop; the loop never runs inside one of its own
+        callbacks (that would move ``now`` past the caller's window)."""
+        if self._running:
+            raise RuntimeError(
+                "Engine is not reentrant: run_until, step and "
+                "run_to_completion cannot be called from an event callback"
+            )
+        self._running = True
 
     def step(self) -> bool:
         """Run the next live event.  Returns False when the queue is empty."""
+        self._enter()
+        try:
+            return self._step()
+        finally:
+            self._running = False
+
+    def _step(self) -> bool:
         self._drop_cancelled_head()
         if not self._heap:
             return False
-        ev = heapq.heappop(self._heap)
-        self.now = ev.time
+        at, _, ev = heapq.heappop(self._heap)
+        self.now = at
         ev.fn()
         self.events_executed += 1
         return True
@@ -116,22 +134,25 @@ class Engine:
         Events scheduled *during* execution with timestamps inside the window
         run too, in timestamp order.
         """
-        if self._running:
-            raise RuntimeError("Engine.run_until is not reentrant")
-        self._running = True
         track = obs.enabled()
         if track:
             wall0 = time.perf_counter_ns()  # noiselint: disable=DET001 -- host wall clock feeds obs throughput gauges only, never simulated state
             virt0 = self.now
             exec0 = self.events_executed
+        self._enter()
+        heap = self._heap
+        heappop = heapq.heappop
         try:
             executed = 0
-            while True:  # hot: the main event loop; plain tallies only
-                self._drop_cancelled_head()
-                if not self._heap or self._heap[0].time > t_end_ns:
+            while heap:  # hot: the main event loop; plain tallies only
+                at, _, ev = heap[0]
+                if ev.cancelled:
+                    heappop(heap)
+                    continue
+                if at > t_end_ns:
                     break
-                ev = heapq.heappop(self._heap)
-                self.now = ev.time
+                heappop(heap)
+                self.now = at
                 ev.fn()
                 executed += 1
             self.events_executed += executed
@@ -160,14 +181,18 @@ class Engine:
         :class:`SimBudgetWarning` is emitted so callers can tell the two
         apart.
         """
+        self._enter()
         executed = 0
         self.budget_exhausted = False
-        # hot: one iteration per simulated event
-        while self.step():
-            executed += 1
-            if executed >= max_events and self.peek_time() is not None:
-                self.budget_exhausted = True
-                break
+        try:
+            # hot: one iteration per simulated event
+            while self._step():
+                executed += 1
+                if executed >= max_events and self.peek_time() is not None:
+                    self.budget_exhausted = True
+                    break
+        finally:
+            self._running = False
         if self.budget_exhausted:
             if obs.enabled():
                 obs.counter("sim.budget_exhausted").inc()
@@ -182,10 +207,10 @@ class Engine:
 
     def pending_count(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
 
     # ------------------------------------------------------------------
     def _drop_cancelled_head(self) -> None:
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)

@@ -154,6 +154,44 @@ class TestExecution:
         with pytest.raises(RuntimeError):
             engine.run_until(5)
 
+    def test_step_inside_run_until_rejected(self):
+        # A nested step() would run an event past the window and leave
+        # ``now`` beyond t_end.
+        engine = Engine()
+        ran = []
+
+        def bad():
+            engine.step()
+
+        engine.schedule(10, bad)
+        engine.schedule(500, lambda: ran.append(500))
+        with pytest.raises(RuntimeError, match="not reentrant"):
+            engine.run_until(100)
+        assert ran == []
+        assert engine.now == 10
+        # The engine is usable again afterwards.
+        engine.run_until(1000)
+        assert ran == [500]
+
+    @pytest.mark.parametrize("outer", ["step", "run_to_completion"])
+    @pytest.mark.parametrize("inner", ["step", "run_until", "run_to_completion"])
+    def test_no_nested_loops(self, outer, inner):
+        engine = Engine()
+        ran = []
+
+        def bad():
+            if inner == "run_until":
+                engine.run_until(engine.now + 10)
+            else:
+                getattr(engine, inner)()
+
+        engine.schedule(10, bad)
+        engine.schedule(20, lambda: ran.append(20))
+        with pytest.raises(RuntimeError, match="not reentrant"):
+            getattr(engine, outer)()
+        assert ran == []
+        assert engine.now == 10
+
 
 class TestDeterminism:
     def test_same_seed_same_rng_stream(self):
