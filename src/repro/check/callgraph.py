@@ -48,6 +48,17 @@ LOCK_TYPES = frozenset({
     "multiprocessing.Lock", "multiprocessing.RLock",
 })
 
+#: Public method names of the builtin containers and strings.  A call like
+#: ``x.append(...)`` on a receiver of unknown type is almost always a list,
+#: so the unique-method-name fallback never binds these names to the one
+#: project class that happens to define a method of the same name.
+_BUILTIN_METHOD_NAMES = frozenset(
+    name
+    for typ in (list, dict, set, frozenset, tuple, str, bytes, bytearray)
+    for name in dir(typ)
+    if not name.startswith("_")
+)
+
 _LOCKISH_NAME = re.compile(r"(?:^|_)(?:lock|mutex)$", re.IGNORECASE)
 
 _THREAD_POOL_TYPES = frozenset({
@@ -1074,7 +1085,7 @@ class CallGraph:
             return None
         leaf = parts[-1]
         hits = self._method_index.get(leaf, [])
-        if len(hits) == 1:
+        if len(hits) == 1 and leaf not in _BUILTIN_METHOD_NAMES:
             return hits[0]
         return None
 

@@ -128,6 +128,26 @@ def test_unresolvable_names_drop_edges_quietly():
     assert g.edges["repro/pkg/d.py::caller"] == []
 
 
+def test_unique_method_fallback_skips_builtin_method_names():
+    # Ring.append and Ring.drain are the only methods of those names in
+    # the project; an untyped receiver's .append() is still a list's.
+    g = graph_of((
+        "repro/pkg/r.py",
+        "class Ring:\n"
+        "    def append(self, x):\n        return x\n"
+        "    def drain(self):\n        return []\n"
+        "def caller(items, ring):\n"
+        "    items.append(1)\n"
+        "    return ring.drain()\n",
+    ))
+    fn = g.function("repro/pkg/r.py::caller")
+    assert g.resolve_call("repro/pkg/r.py", fn, "items.append") is None
+    assert (
+        g.resolve_call("repro/pkg/r.py", fn, "ring.drain")
+        == "repro/pkg/r.py::Ring.drain"
+    )
+
+
 # ----------------------------------------------------------------------
 # Contexts and roots
 # ----------------------------------------------------------------------
