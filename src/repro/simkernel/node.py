@@ -109,15 +109,15 @@ class ComputeNode(KernelHooks):
         self._next_rank_pid += 1
         self.tasks[task.pid] = task
         self._programs[task.pid] = program
-        self.mm.register_task(task)
+        faults = self.mm.register_task(task)
         self.mm.set_fault_model(task, self.config.models.page_fault)
         frame = Frame(
             FrameKind.USER,
             task=task,
             name=name,
             remaining=1,  # immediately reaches the first program point
-            on_pause=lambda: self.mm.on_user_pause(task),
-            on_resume=lambda: self.mm.on_user_resume(task),
+            on_pause=faults.cancel,
+            on_resume=faults.arm,
         )
         task.saved_frame = frame
         return task

@@ -11,7 +11,8 @@ methodology surfaces (Figure 1d).
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, TYPE_CHECKING
+from functools import partial
+from typing import Callable, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.simkernel.cpu import CPU
 from repro.simkernel.softirq import SoftirqHandler, Vec
@@ -22,7 +23,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class SoftTimer:
-    """A software timer (like ``struct timer_list``)."""
+    """A software timer (like ``struct timer_list``).
+
+    Wheels hold ``(expires, timer_id, timer)`` entries, so ``heapq`` orders
+    them by two int compares in C; ``timer_id`` is unique, so a timer is
+    never compared."""
 
     __slots__ = ("timer_id", "expires", "callback", "period_ns", "cpu", "cancelled")
 
@@ -41,9 +46,6 @@ class SoftTimer:
         self.cpu = cpu
         self.cancelled = False
 
-    def __lt__(self, other: "SoftTimer") -> bool:
-        return (self.expires, self.timer_id) < (other.expires, other.timer_id)
-
 
 class TimerSubsystem:
     """Per-CPU periodic tick + software-timer wheel."""
@@ -51,8 +53,8 @@ class TimerSubsystem:
     def __init__(self, node: "ComputeNode") -> None:
         self.node = node
         self.tick_ns = 1_000_000_000 // node.config.hz
-        #: Per-CPU software timer heaps.
-        self._wheels: List[List[SoftTimer]] = [
+        #: Per-CPU software timer heaps of (expires, timer_id, timer).
+        self._wheels: List[List[Tuple[int, int, SoftTimer]]] = [
             [] for _ in range(node.config.ncpus)
         ]
         self._next_timer_id = 1
@@ -85,7 +87,9 @@ class TimerSubsystem:
         )
         self._next_timer_id += 1
         self._timers[timer.timer_id] = timer
-        heapq.heappush(self._wheels[cpu], timer)
+        heapq.heappush(
+            self._wheels[cpu], (timer.expires, timer.timer_id, timer)
+        )
         return timer.timer_id
 
     def cancel_timer(self, timer_id: int) -> None:
@@ -96,8 +100,8 @@ class TimerSubsystem:
     def expired_count(self, cpu_index: int, now: int) -> int:
         return sum(
             1
-            for t in self._wheels[cpu_index]
-            if not t.cancelled and t.expires <= now
+            for expires, _, t in self._wheels[cpu_index]
+            if not t.cancelled and expires <= now
         )
 
     # ------------------------------------------------------------------
@@ -131,14 +135,8 @@ class TimerSubsystem:
         for cpu in node.cpus:
             node.engine.schedule(
                 node.engine.now + self.tick_ns + cpu.index * stagger,
-                self._make_tick(cpu),
+                partial(self._tick, cpu),
             )
-
-    def _make_tick(self, cpu: CPU) -> Callable[[], None]:
-        def tick() -> None:
-            self._tick(cpu)
-
-        return tick
 
     def _tick(self, cpu: CPU) -> None:
         node = self.node
@@ -148,7 +146,7 @@ class TimerSubsystem:
             # our software timers are checked on the next busy tick).
             self.skipped_idle_ticks += 1
             node.engine.schedule(
-                node.engine.now + self.tick_ns, self._make_tick(cpu)
+                node.engine.now + self.tick_ns, partial(self._tick, cpu)
             )
             return
         self.ticks += 1
@@ -163,9 +161,9 @@ class TimerSubsystem:
             Ev.IRQ_TIMER,
             node.config.models.timer_irq.sample(rng),
             raise_vecs=vecs,
-            post=self._scheduler_tick(cpu),
+            post=node.scheduler.scheduler_tick,
         )
-        node.engine.schedule(node.engine.now + self.tick_ns, self._make_tick(cpu))
+        node.engine.schedule(node.engine.now + self.tick_ns, partial(self._tick, cpu))
 
     # ------------------------------------------------------------------
     # High-resolution timers (paper §IV-E: "with the introduction of high
@@ -217,26 +215,21 @@ class TimerSubsystem:
             and cpu.stack[0].running
         )
 
-    def _scheduler_tick(self, cpu: CPU) -> Callable[[CPU], None]:
-        def post(_: CPU) -> None:
-            self.node.scheduler.scheduler_tick(cpu)
-
-        return post
-
     # ------------------------------------------------------------------
     def _run_expired(self, cpu: CPU) -> None:
         """Fire expired software timers (inside run_timer_softirq)."""
         node = self.node
         wheel = self._wheels[cpu.index]
         now = node.engine.now
-        while wheel and wheel[0].expires <= now:
-            timer = heapq.heappop(wheel)
+        while wheel and wheel[0][0] <= now:
+            _, timer_id, timer = heapq.heappop(wheel)
             if timer.cancelled:
                 continue
-            cpu.emit_point(Ev.TIMER_EXPIRE, cpu.context_pid(), timer.timer_id)
+            cpu.emit_point(Ev.TIMER_EXPIRE, cpu.context_pid(), timer_id)
             if timer.period_ns:
+                # A periodic re-arm pushes a fresh entry.
                 timer.expires = now + timer.period_ns
-                heapq.heappush(wheel, timer)
+                heapq.heappush(wheel, (timer.expires, timer_id, timer))
             else:
                 self._timers.pop(timer.timer_id, None)
             timer.callback()

@@ -125,7 +125,8 @@ assert RECORD_DTYPE.itemsize == RECORD_SIZE, "record dtype must be packed"
 def pack_record(
     time: int, event: int, cpu: int, flag: int, pid: int, arg: int
 ) -> bytes:
-    """Serialize one record (used by the ring-buffer writer)."""
+    """Serialize one record.  The ring-buffer writer packs with
+    :data:`RECORD_STRUCT` directly; this is the one-record form."""
     return RECORD_STRUCT.pack(time, event, cpu, flag, pid, arg)
 
 

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List
 
-from repro.tracing.events import RECORD_SIZE, pack_record
+from repro.tracing.events import RECORD_SIZE, RECORD_STRUCT
+
+_pack = RECORD_STRUCT.pack
 
 
 class Mode(Enum):
@@ -41,16 +43,6 @@ class SubBuffer:
     #: Events lost (discarded or overwritten) before this sub-buffer.
     lost_before: int = 0
 
-    def room(self) -> int:
-        return self.capacity_bytes - len(self.data)
-
-    def append(self, record: bytes, timestamp: int) -> None:
-        if self.n_records == 0:
-            self.begin_ts = timestamp
-        self.data += record
-        self.end_ts = timestamp
-        self.n_records += 1
-
 
 class RingBuffer:
     """One CPU's ring of sub-buffers."""
@@ -71,6 +63,9 @@ class RingBuffer:
         self.n_subbufs = n_subbufs
         self.mode = mode
         self._current = SubBuffer(subbuf_size)
+        #: A sub-buffer holding more bytes than this has no room for one
+        #: more record.
+        self._last_offset = subbuf_size - RECORD_SIZE
         #: Completed, unconsumed sub-buffers (oldest first).
         self._full: List[SubBuffer] = []
         self.records_written = 0
@@ -84,16 +79,24 @@ class RingBuffer:
     def write(
         self, time: int, event: int, cpu: int, flag: int, pid: int, arg: int
     ) -> bool:
-        """Append one record.  Returns False if it was lost."""
-        record = pack_record(time, event, cpu, flag, pid, arg)
-        if self._current.room() < RECORD_SIZE:
+        """Append one record.  Returns False if it was lost.
+
+        The record is packed straight onto the current sub-buffer's bytes:
+        this runs once per trace record."""
+        current = self._current
+        if len(current.data) > self._last_offset:
             if not self._switch():
                 # DISCARD mode with all sub-buffers full: lose the event.
                 self.records_lost += 1
                 self._lost_since_switch += 1
                 self._last_loss_ts = time
                 return False
-        self._current.append(record, time)
+            current = self._current
+        if current.n_records == 0:
+            current.begin_ts = time
+        current.data += _pack(time, event, cpu, flag, pid, arg)
+        current.end_ts = time
+        current.n_records += 1
         self.records_written += 1
         return True
 
