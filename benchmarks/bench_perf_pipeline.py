@@ -27,14 +27,29 @@ from reference import ReferenceAnalysis  # noqa: E402
 
 
 def test_perf_simulation(benchmark):
-    """Simulate 500 ms of AMG (the event-heaviest workload) per round."""
+    """Simulate 500 ms of AMG (the event-heaviest workload) per round.
+
+    ``extra_info`` carries the absolute cost: records and engine events
+    per run, and wall ns per record over the rounds (min and median)."""
+    round_ns = []
+    events = []
 
     def run():
+        t0 = time.perf_counter_ns()
         workload = SequoiaWorkload("AMG", nominal_ns=500 * MSEC)
         node, trace = workload.run_traced(500 * MSEC, seed=13)
+        round_ns.append(time.perf_counter_ns() - t0)
+        events.append(node.engine.events_executed)
         return sum(p.n_records for p in trace.packets)
 
     records = benchmark.pedantic(run, rounds=3, iterations=1)
+    per_record = sorted(ns / records for ns in round_ns)
+    benchmark.extra_info.update(
+        records=records,
+        events_executed=events[-1],
+        ns_per_record_min=round(per_record[0], 1),
+        ns_per_record_median=round(per_record[len(per_record) // 2], 1),
+    )
     assert records > 10_000
 
 
