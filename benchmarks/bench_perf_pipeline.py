@@ -71,6 +71,38 @@ def test_perf_analysis(benchmark, amg_trace):
     assert n > 10_000
 
 
+def test_perf_queries(benchmark, amg_trace):
+    """The two renders every analyzed trace gets — the ``analyze``
+    summary and the full report — on a constructed analysis.
+
+    Construction stays outside the timed region; each round queries a
+    fresh analysis, so the per-analysis memo of ``stats_by_event`` is
+    paid for once per round, as in ``lttng-noise analyze``/``report``.
+    ``extra_info`` carries records and ns/record (min and median)."""
+    from repro.core.report import full_report, render_analysis_summary
+
+    trace, meta = amg_trace
+    records = sum(p.n_records for p in trace.packets)
+    round_ns = []
+
+    def setup():
+        return (NoiseAnalysis(trace, meta=meta),), {}
+
+    def query(analysis):
+        t0 = time.perf_counter_ns()
+        render_analysis_summary(analysis)
+        full_report(analysis, meta=meta)
+        round_ns.append(time.perf_counter_ns() - t0)
+
+    benchmark.pedantic(query, setup=setup, rounds=5, iterations=1)
+    per_record = sorted(ns / records for ns in round_ns)
+    benchmark.extra_info.update(
+        records=records,
+        ns_per_record_min=round(per_record[0], 1),
+        ns_per_record_median=round(per_record[len(per_record) // 2], 1),
+    )
+
+
 def _analyze_phase(analysis_cls, trace, meta):
     """The full analyze phase: reconstruction + classification + the
     standard query battery (tables, breakdowns, per-CPU series, timeline)."""

@@ -173,9 +173,12 @@ def cmd_report(args) -> int:
                 )
         else:
             print("\n(no phase markers in this trace)")
-    if analysis.records is not None and len(analysis.records):
-        print(f"\nrecords: {len(analysis.records)}, span {fmt_ns(analysis.span_ns)}, "
-              f"{analysis.ncpus} cpus")
+    # stdout stays the service's report render, byte for byte; the input
+    # summary is a diagnostic.
+    if len(analysis.records):
+        print(f"records: {len(analysis.records)}, span "
+              f"{fmt_ns(analysis.span_ns)}, {analysis.ncpus} cpus",
+              file=sys.stderr)
     return 0
 
 

@@ -159,6 +159,7 @@ class NoiseAnalysis:
                 stacklevel=2,
             )
         self._activities: Optional[List[Activity]] = None
+        self._stats_by_event: Dict[bool, Dict[str, DurationStats]] = {}
 
     @property
     def activities(self) -> List[Activity]:
@@ -225,22 +226,34 @@ class NoiseAnalysis:
         return describe_durations(durations, self.span_ns, cpus=self.ncpus)
 
     def stats_by_event(self, noise_only: bool = True) -> Dict[str, DurationStats]:
-        """Stats for every activity type present in the trace."""
+        """Stats for every activity type present in the trace, keyed by
+        display name in sorted order.
+
+        Computed once per ``noise_only`` value (the analysis does not
+        change after construction); each call returns a fresh dict.
+        """
+        key = bool(noise_only)
+        stats = self._stats_by_event.get(key)
+        if stats is None:
+            stats = self._stats_by_event[key] = self._group_stats(key)
+        return dict(stats)
+
+    def _group_stats(self, noise_only: bool) -> Dict[str, DurationStats]:
         d = self.table.data
         m = ~d["truncated"]
         if noise_only:
-            m = m & d["is_noise"]
-        names = self.table.names()[m]
-        self_ns = d["self_ns"][m]
-        if not len(names):
+            m &= d["is_noise"]
+        names, label = self.table.name_groups(m)
+        if not names:
             return {}
-        uniq, inv = np.unique(names, return_inverse=True)
-        order = np.argsort(inv, kind="stable")
-        counts = np.bincount(inv, minlength=len(uniq))
-        chunks = np.split(self_ns[order], np.cumsum(counts)[:-1])
+        # Stable: each group keeps table row order, which the float mean
+        # and std of describe_durations depend on.
+        order = np.argsort(label, kind="stable")
+        counts = np.bincount(label, minlength=len(names))
+        chunks = np.split(d["self_ns"][m][order], np.cumsum(counts)[:-1])
         return {
             name: describe_durations(values, self.span_ns, cpus=self.ncpus)
-            for name, values in zip(uniq.tolist(), chunks)
+            for name, values in zip(names, chunks)
         }
 
     # ------------------------------------------------------------------

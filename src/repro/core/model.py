@@ -33,6 +33,14 @@ PREEMPT_EVENT = 100
 TRACER_PREEMPT_EVENT = 101
 
 
+def activity_name(event: int, pid: int, meta: "TraceMeta") -> str:
+    """Display name of an activity: the kernel event name, or
+    ``preempt:<daemon name>`` for the preemption pseudo-events."""
+    if event == PREEMPT_EVENT or event == TRACER_PREEMPT_EVENT:
+        return f"preempt:{meta.name_of(pid)}"
+    return event_name(event)
+
+
 class NoiseCategory(Enum):
     """The paper's five noise categories (Section IV-A) plus bookkeeping."""
 
@@ -273,25 +281,39 @@ class ActivityTable:
         using the attached :class:`TraceMeta`.
         """
         if self._names is None:
-            events = self.data["event"]
-            uniq, inv = np.unique(events, return_inverse=True)
-            base = np.array(
-                [event_name(int(e)) for e in uniq], dtype=object
-            )
-            names = base[inv] if len(uniq) else np.zeros(0, dtype=object)
-            pm = (events == PREEMPT_EVENT) | (events == TRACER_PREEMPT_EVENT)
-            if pm.any():
-                meta = self.meta if self.meta is not None else TraceMeta()
-                pids = self.data["pid"][pm].tolist()
-                cache: Dict[int, str] = {}
-                names[np.flatnonzero(pm)] = [
-                    cache.get(p) or cache.setdefault(
-                        p, f"preempt:{meta.name_of(p)}"
-                    )
-                    for p in pids
-                ]
-            self._names = names
+            names, label = self.name_groups()
+            self._names = np.array(names, dtype=object)[label]
         return self._names
+
+    def name_groups(
+        self, mask: Optional[np.ndarray] = None
+    ) -> Tuple[List[str], np.ndarray]:
+        """The distinct display names of (the masked) rows, sorted, and
+        each row's index into that list.
+
+        Rows are grouped on one int64 key — the event id, plus the pid for
+        preemption pseudo-events — so a name is resolved once per distinct
+        key, never per row.  Keys that resolve to the same name (two
+        daemons called alike) share one index.
+        """
+        events = self.data["event"]
+        pids = self.data["pid"]
+        if mask is not None:
+            events = events[mask]
+            pids = pids[mask]
+        keys = events.astype(np.int64) << 32
+        preempt = (events == PREEMPT_EVENT) | (events == TRACER_PREEMPT_EVENT)
+        keys[preempt] |= pids[preempt].astype(np.int64) & 0xFFFFFFFF
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        meta = self.meta if self.meta is not None else TraceMeta()
+        names = [
+            activity_name(event, pid, meta)
+            for event, pid in zip(events[first].tolist(), pids[first].tolist())
+        ]
+        distinct = sorted(set(names))
+        index = {name: i for i, name in enumerate(distinct)}
+        remap = np.array([index[name] for name in names], dtype=np.intp)
+        return distinct, remap[inv]
 
     def rows(self, mask: Optional[np.ndarray] = None) -> List[Activity]:
         """Materialize (a masked subset of) the table as Activity objects."""

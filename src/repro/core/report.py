@@ -187,7 +187,9 @@ def render_analysis_summary(analysis, quanta=(), all_events=False) -> str:
 def full_report(analysis, meta=None) -> str:
     """One-shot text report: tables, breakdown, imbalance, task states.
 
-    What the CLI ``report`` command prints; also handy in notebooks.
+    The one report body: ``lttng-noise report`` without flags prints
+    exactly this on stdout, and the service's ``report`` render returns
+    it, so the two are byte-identical.  Also handy in notebooks.
     """
     from repro.core.model import TraceMeta
     from repro.core.timeline import TaskTimeline

@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.simkernel.distributions import (
-    Constant,
-    DurationModel,
-    ShiftedLogNormal,
-    from_stats,
-)
+from repro.simkernel.distributions import DurationModel, from_stats
 from repro.simkernel.memory import PageFaultModel
 from repro.util.units import MSEC, USEC
 

@@ -45,6 +45,7 @@ from repro.core.model import (
     PREEMPT_EVENT,
     TRACER_PREEMPT_EVENT,
     TraceMeta,
+    activity_name,
     concat_rows,
 )
 from repro.util.stats import DurationStats
@@ -398,15 +399,10 @@ class WindowMerger:
         """Population moments grouped by display name, sorted by name —
         the grouping :meth:`NoiseAnalysis.stats_by_event` applies (both
         preemption pseudo-events share one ``preempt:<daemon>`` name)."""
-        from repro.tracing.events import event_name
-
         table = self._noise if noise_only else self._all
         out: Dict[str, Moments] = {}
         for (ev, pid), acc in table.items():
-            if ev == PREEMPT_EVENT or ev == TRACER_PREEMPT_EVENT:
-                name = f"preempt:{self.meta.name_of(pid)}"
-            else:
-                name = event_name(ev)
+            name = activity_name(ev, pid, self.meta)
             merged = out.get(name)
             if merged is None:
                 out[name] = merged = Moments()

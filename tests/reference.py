@@ -6,9 +6,10 @@ This module preserves the original per-object pipeline — Python loops over
 the columnar :class:`~repro.core.model.ActivityTable` refactor.  It exists
 for two purposes:
 
-* the differential property test (``tests/test_columnar.py``) checks that
-  the columnar pipeline's outputs are **exactly** equal to this
-  implementation on randomized record streams;
+* the differential property tests (``tests/test_columnar.py``,
+  ``tests/test_timeline.py``) check that the columnar pipeline's outputs
+  are **exactly** equal to this implementation on randomized record
+  streams;
 * ``benchmarks/bench_perf_pipeline.py`` measures the columnar analyze
   phase against this baseline (the ≥5× acceptance bar).
 
@@ -32,6 +33,7 @@ from repro.core.model import (
     TRACER_PREEMPT_EVENT,
     TraceMeta,
 )
+from repro.core.timeline import StateInterval
 from repro.simkernel.task import TaskKind, TaskState
 from repro.tracing.ctf import Trace
 from repro.tracing.events import (
@@ -526,3 +528,149 @@ def _resolve_event_ref(event: Union[int, str, None]) -> Optional[int]:
         except KeyError:
             raise ValueError(f"unknown event name: {event!r}") from None
     return int(event)
+
+
+class ReferenceTimeline:
+    """Original :class:`~repro.core.timeline.TaskTimeline`: one
+    :class:`StateInterval` object per interval, summaries by Python loops
+    over them."""
+
+    def __init__(
+        self,
+        records: np.ndarray,
+        meta: Optional[TraceMeta] = None,
+        end_ts: Optional[int] = None,
+    ) -> None:
+        self.meta = meta if meta is not None else TraceMeta()
+        if end_ts is None:
+            end_ts = int(records["time"].max()) if len(records) else 0
+        self.end_ts = int(end_ts)
+
+        # Columnar pairing: keep task_state records in stable time order,
+        # regroup by pid, and zip each pid's consecutive events into
+        # intervals.  A final open interval extends to end_ts.
+        sel = records[records["event"] == int(Ev.TASK_STATE)]
+        order = np.argsort(sel["time"], kind="stable")
+        times = sel["time"][order].astype(np.int64)
+        args = sel["arg"][order]
+        pids = (args >> np.uint64(8)).astype(np.int64)
+        states = (args & np.uint64(0xFF)).astype(np.int64)
+
+        intervals: Dict[int, List[StateInterval]] = {}
+        if len(times):
+            porder = np.argsort(pids, kind="stable")
+            sp = pids[porder]
+            st = times[porder]
+            ss = states[porder]
+            same_pid = sp[1:] == sp[:-1]
+            pair = np.flatnonzero(same_pid & (st[1:] > st[:-1]))
+            last = np.append(np.flatnonzero(~same_pid), len(sp) - 1)
+            for i in pair.tolist():
+                pid = int(sp[i])
+                intervals.setdefault(pid, []).append(
+                    StateInterval(
+                        pid, TaskState(int(ss[i])), int(st[i]), int(st[i + 1])
+                    )
+                )
+            for i in last.tolist():
+                pid = int(sp[i])
+                if self.end_ts > st[i]:
+                    intervals.setdefault(pid, []).append(
+                        StateInterval(
+                            pid,
+                            TaskState(int(ss[i])),
+                            int(st[i]),
+                            self.end_ts,
+                        )
+                    )
+        self._intervals = intervals
+        self._starts: Dict[int, List[int]] = {
+            pid: [iv.start for iv in ivs] for pid, ivs in intervals.items()
+        }
+
+    # ------------------------------------------------------------------
+    def pids(self) -> List[int]:
+        return sorted(self._intervals)
+
+    def intervals(
+        self, pid: int, state: Optional[TaskState] = None
+    ) -> List[StateInterval]:
+        """All (or one state's) intervals of a task, time-ordered."""
+        out = self._intervals.get(pid, [])
+        if state is None:
+            return list(out)
+        return [iv for iv in out if iv.state == state]
+
+    def state_at(self, pid: int, time_ns: int) -> Optional[TaskState]:
+        """The task's state at an instant (None before its first event)."""
+        starts = self._starts.get(pid)
+        if not starts:
+            return None
+        idx = bisect.bisect_right(starts, time_ns) - 1
+        if idx < 0:
+            return None
+        interval = self._intervals[pid][idx]
+        if interval.start <= time_ns < interval.end:
+            return interval.state
+        # Past the last interval: the last known state persists.
+        if time_ns >= interval.end and interval is self._intervals[pid][-1]:
+            return interval.state
+        return None
+
+    def time_in_state(self, pid: int, state: TaskState) -> int:
+        """Total nanoseconds the task spent in a state."""
+        return sum(iv.duration_ns for iv in self.intervals(pid, state))
+
+    # ------------------------------------------------------------------
+    # Summaries
+    # ------------------------------------------------------------------
+    def occupancy(self, pid: int) -> Dict[TaskState, float]:
+        """Fraction of the observed window per state."""
+        total = sum(iv.duration_ns for iv in self._intervals.get(pid, []))
+        if total == 0:
+            return {}
+        out: Dict[TaskState, float] = {}
+        for iv in self._intervals[pid]:
+            out[iv.state] = out.get(iv.state, 0.0) + iv.duration_ns / total
+        return out
+
+    def wait_times(self, pid: int) -> np.ndarray:
+        """Durations of RUNNABLE episodes: how long the task waited for a
+        CPU after being displaced or woken (scheduler-latency view)."""
+        return np.array(
+            [iv.duration_ns for iv in self.intervals(pid, TaskState.RUNNABLE)],
+            dtype=np.int64,
+        )
+
+    def blocked_times(self, pid: int) -> np.ndarray:
+        """Durations of BLOCKED episodes (I/O and communication waits)."""
+        return np.array(
+            [iv.duration_ns for iv in self.intervals(pid, TaskState.BLOCKED)],
+            dtype=np.int64,
+        )
+
+    def summary(self) -> Dict[int, Dict[str, float]]:
+        """Per-application-task digest used by reports.
+
+        Occupancy fractions are floats; episode counts and nanosecond
+        sums stay int64-exact (NSX rules) — ``mean_wait_ns`` is the floor
+        of the exact integer quotient, never a lossy float mean.
+        """
+        out: Dict[int, Dict[str, float]] = {}
+        for pid in self.pids():
+            if not self.meta.is_application(pid):
+                continue
+            occ = self.occupancy(pid)
+            waits = self.wait_times(pid)
+            total_wait = int(waits.sum())
+            out[pid] = {
+                "running": occ.get(TaskState.RUNNING, 0.0),
+                "runnable": occ.get(TaskState.RUNNABLE, 0.0),
+                "blocked": occ.get(TaskState.BLOCKED, 0.0),
+                "wait_episodes": int(waits.size),
+                "total_wait_ns": total_wait,
+                "mean_wait_ns": total_wait // int(waits.size)
+                if waits.size
+                else 0,
+            }
+        return out

@@ -20,8 +20,9 @@ from repro.core.model import (
     CATEGORY_ORDER,
     NoiseCategory,
     PREEMPT_EVENT,
+    TaskInfo,
 )
-from repro.simkernel.task import TaskState
+from repro.simkernel.task import TaskKind, TaskState
 from repro.tracing.events import Ev
 from recbuild import DAEMON, RANK, RANK2, TRACERD, RecordBuilder, meta
 from reference import ReferenceAnalysis
@@ -165,6 +166,51 @@ def test_names_resolve_preemptions():
     preempt_rows = an.table.data["event"] == PREEMPT_EVENT
     assert preempt_rows.sum() == 1
     assert names[preempt_rows][0] == "preempt:rpciod/0"
+
+
+def _twin_daemon_records():
+    """Two daemons with different pids but one display name preempt the
+    rank in turn (interleaved in time, on two CPUs), next to a tick."""
+    b = RecordBuilder()
+    for k, (daemon, cpu) in enumerate([(DAEMON, 0), (DAEMON + 7, 1),
+                                       (DAEMON, 1), (DAEMON + 7, 0),
+                                       (DAEMON + 7, 1)]):
+        t = 1000 * (k + 1)
+        rank = RANK if cpu == 0 else RANK2
+        b.state(t, rank, TaskState.RUNNABLE, cpu=cpu)
+        b.switch(t, rank, daemon, cpu=cpu)
+        b.switch(t + 100 + 37 * k, daemon, rank, cpu=cpu)
+        b.state(t + 100 + 37 * k, rank, TaskState.RUNNING, cpu=cpu)
+    b.activity(200, 260, Ev.IRQ_TIMER, cpu=0)
+    twins = meta()
+    twins.tasks[DAEMON + 7] = TaskInfo(DAEMON + 7, "rpciod/0",
+                                       TaskKind.KDAEMON)
+    return b.build(), twins
+
+
+@pytest.mark.parametrize("noise_only", [True, False])
+def test_same_named_daemons_share_one_row(noise_only):
+    records, twins = _twin_daemon_records()
+    col = NoiseAnalysis(records, meta=twins, span_ns=10_000)
+    ref = ReferenceAnalysis(records, meta=twins, span_ns=10_000)
+    got = col.stats_by_event(noise_only=noise_only)
+    assert got == ref.stats_by_event(noise_only=noise_only)
+    assert list(got) == sorted(got)
+    assert got["preempt:rpciod/0"].count == 5
+
+
+def test_stats_by_event_returns_a_fresh_dict():
+    records, twins = _twin_daemon_records()
+    col = NoiseAnalysis(records, meta=twins, span_ns=10_000)
+    ref = ReferenceAnalysis(records, meta=twins, span_ns=10_000)
+    for noise_only in (True, False):
+        want = ref.stats_by_event(noise_only=noise_only)
+        first = col.stats_by_event(noise_only=noise_only)
+        first.pop("preempt:rpciod/0")
+        first["bogus"] = want["timer_interrupt"]
+        assert col.stats_by_event(noise_only=noise_only) == want
+        col.stats_by_event(noise_only=noise_only).clear()
+        assert col.stats_by_event(noise_only=noise_only) == want
 
 
 def test_out_of_range_cpu_warns_and_stays_consistent():

@@ -246,6 +246,24 @@ class TestBatchParity:
             client.wait(job["id"])
             assert client.render(job["id"], "analyze") == expected + "\n"
 
+    def test_render_report_is_the_cli_report_stdout(self, server, tmp_path,
+                                                    capsys):
+        """The service's report render equals ``lttng-noise report``
+        stdout for the same run, byte for byte."""
+        from repro.cli import main
+
+        base = str(tmp_path / "ftq")
+        assert main(["record", "FTQ", "--duration", "50ms", "--seed", "3",
+                     "--ncpus", "2", "-o", base]) == 0
+        capsys.readouterr()
+        assert main(["report", base + ".lttnz"]) == 0
+        cli = capsys.readouterr()
+        assert cli.err.startswith("records: ")
+        with server.client() as client:
+            job = client.submit(spec(seed=3))["job"]
+            client.wait(job["id"])
+            assert client.render(job["id"], "report") == cli.out
+
     def test_trace_upload_matches_batch_analysis(self, server):
         """Streaming an uploaded trace through the service produces the
         same numbers as batch-analyzing it locally."""

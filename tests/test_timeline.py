@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.timeline import StateInterval, TaskTimeline
+from repro.core.timeline import TaskTimeline
 from repro.simkernel.task import TaskState
-from repro.util.units import MSEC, SEC
-from recbuild import DAEMON, RANK, RANK2, RecordBuilder, meta
+from repro.tracing.events import Ev
+from recbuild import DAEMON, RANK, RANK2, TRACERD, RecordBuilder, meta
+from reference import ReferenceTimeline
 
 
 def timeline_of(records, end_ts=10_000):
@@ -136,3 +139,72 @@ class TestOnRealTrace:
         # FTQ rarely blocks (only its sparse NFS ops).
         assert tl.occupancy(rank_pid).get(TaskState.BLOCKED, 0.0) < 0.05
         assert (blocked >= 0).all()
+
+
+# ----------------------------------------------------------------------
+# Differential: columnar timeline vs the frozen object-path original.
+# ----------------------------------------------------------------------
+
+TASKS = [RANK, RANK2, DAEMON, TRACERD, 4242]
+
+
+@st.composite
+def state_streams(draw):
+    """Multi-task ``task_state`` streams with equal timestamps (zero-length
+    intervals), unrelated records mixed in, optionally out of time order,
+    and ``end_ts`` absent, inside the stream or past its end."""
+    builder = RecordBuilder()
+    # Few tasks and states give long same-state runs, where a pairwise
+    # float sum would differ from the sequential one.
+    tasks = TASKS[:draw(st.integers(min_value=1, max_value=len(TASKS)))]
+    states = list(TaskState)[:draw(st.integers(min_value=1, max_value=4))]
+    t = 0
+    for _ in range(draw(st.integers(min_value=0, max_value=120))):
+        t += draw(st.sampled_from([0, 0, 1, 7, 250, 3001, 77_777]))
+        pid = draw(st.sampled_from(tasks))
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            builder.raw(t, Ev.MARKER, pid=pid)
+        else:
+            builder.state(t, pid, draw(st.sampled_from(states)),
+                          cpu=draw(st.integers(min_value=0, max_value=1)))
+    records = builder.build()
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(len(records))))
+        records = records[np.asarray(perm, dtype=np.intp)]
+    end_ts = draw(st.one_of(
+        st.none(),
+        st.integers(min_value=0, max_value=max(0, t - 1)),
+        st.integers(min_value=t, max_value=t + 5000),
+    ))
+    return records, end_ts
+
+
+@given(state_streams(), st.lists(st.integers(min_value=-10,
+                                             max_value=10**7), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_timeline_matches_reference(data, instants):
+    records, end_ts = data
+    got = TaskTimeline(records, meta=meta(), end_ts=end_ts)
+    want = ReferenceTimeline(records, meta=meta(), end_ts=end_ts)
+    assert got.pids() == want.pids()
+    probes = set(instants) | set(records["time"].tolist())
+    probes |= {got.end_ts, got.end_ts - 1, got.end_ts + 1}
+    for pid in TASKS:
+        assert got.intervals(pid) == want.intervals(pid)
+        for state in TaskState:
+            assert got.intervals(pid, state) == want.intervals(pid, state)
+            spent = got.time_in_state(pid, state)
+            assert type(spent) is int
+            assert spent == want.time_in_state(pid, state)
+        for probe in sorted(probes):
+            assert got.state_at(pid, probe) == want.state_at(pid, probe)
+        # Bit-equal floats, same keys in the same order.
+        assert list(got.occupancy(pid).items()) == list(
+            want.occupancy(pid).items()
+        )
+        for mine, theirs in ((got.wait_times(pid), want.wait_times(pid)),
+                             (got.blocked_times(pid),
+                              want.blocked_times(pid))):
+            assert mine.dtype == theirs.dtype == np.int64
+            assert mine.tolist() == theirs.tolist()
+    assert got.summary() == want.summary()
