@@ -169,11 +169,6 @@ def combined_mask(table: ActivityTable, *filters: Filter) -> np.ndarray:
     return m
 
 
-def apply_table(table: ActivityTable, *filters: Filter) -> ActivityTable:
-    """Apply all filters conjunctively, keeping the columnar form."""
-    return table.take(combined_mask(table, *filters))
-
-
 def apply(
     activities: Union[ActivityTable, Iterable[Activity]], *filters: Filter
 ) -> List[Activity]:

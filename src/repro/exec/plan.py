@@ -222,14 +222,6 @@ class SweepPlan:
             token: recorded.get(token, "pending") for token in self.tokens
         }
 
-    def pending_specs(self) -> List[RunSpec]:
-        """Specs whose last journaled state is not ``done``."""
-        states = self.states()
-        return [
-            spec for spec in self.specs
-            if states[self._tokens[spec]] != "done"
-        ]
-
     def verify_journal(self) -> List[str]:
         """Consistency issues between the journal and the plan (CI gate)."""
         issues = []

@@ -354,14 +354,8 @@ class ShardedStore(ShardedBlobStore):
     def token(self, spec: RunSpec) -> str:
         return spec.cache_token(self.version)
 
-    def _token_paths(self, token: str) -> Tuple[str, ...]:
-        return self.token_paths(token)
-
     def _paths(self, spec: RunSpec) -> Tuple[str, ...]:
         return self.token_paths(self.token(spec))
-
-    def _locate(self, token: str) -> Optional[Tuple[str, ...]]:
-        return self.locate(token)
 
     def contains(self, spec: RunSpec) -> bool:
         return self.locate(self.token(spec)) is not None

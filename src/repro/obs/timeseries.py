@@ -37,7 +37,6 @@ from __future__ import annotations
 import heapq
 import json
 import os
-import time
 from collections import deque
 from typing import Any, Dict, IO, Iterable, List, Optional
 
@@ -49,19 +48,6 @@ SAMPLE_FILE_PREFIX = "samples-"
 SAMPLE_FILE_SUFFIX = ".jsonl"
 
 Sample = Dict[str, Any]
-
-
-def make_sample(seq: int, metrics: Dict[str, float],
-                mono_ns: Optional[int] = None,
-                pid: Optional[int] = None) -> Sample:
-    """One timestamped reading of the registry's scalar series."""
-    return {
-        "seq": int(seq),
-        "mono_ns": int(mono_ns if mono_ns is not None
-                       else time.monotonic_ns()),
-        "pid": int(pid if pid is not None else os.getpid()),
-        "metrics": metrics,
-    }
 
 
 def sample_file_path(directory: str, pid: Optional[int] = None) -> str:

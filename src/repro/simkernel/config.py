@@ -11,7 +11,7 @@ HZ=100 (Tables V/VI show 100 timer events/sec), NFS-only I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.simkernel.distributions import DurationModel, from_stats
 from repro.simkernel.memory import PageFaultModel
@@ -109,9 +109,3 @@ class NodeConfig:
             raise ValueError("tx_completion_irq_prob must be a probability")
         if self.irq_affinity not in ("round-robin", "cpu0"):
             raise ValueError("irq_affinity must be 'round-robin' or 'cpu0'")
-
-    def with_models(self, models: ActivityModels) -> "NodeConfig":
-        return replace(self, models=models)
-
-    def with_seed(self, seed: int) -> "NodeConfig":
-        return replace(self, seed=seed)

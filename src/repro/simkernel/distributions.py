@@ -276,10 +276,3 @@ class Exponential:
             return math.inf
         return 1e9 / self.rate_per_sec
 
-
-def empirical_stats(
-    model: DurationModel, rng: np.random.Generator, n: int = 20000
-) -> "Tuple[float, int, int]":
-    """Sample ``n`` values and return ``(mean, min, max)`` — calibration aid."""
-    samples = np.array([model.sample(rng) for _ in range(n)], dtype=np.int64)
-    return float(samples.mean()), int(samples.min()), int(samples.max())

@@ -97,13 +97,6 @@ class TimerSubsystem:
         if timer is not None:
             timer.cancelled = True
 
-    def expired_count(self, cpu_index: int, now: int) -> int:
-        return sum(
-            1
-            for expires, _, t in self._wheels[cpu_index]
-            if not t.cancelled and expires <= now
-        )
-
     # ------------------------------------------------------------------
     # The tick
     # ------------------------------------------------------------------
