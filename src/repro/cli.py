@@ -610,8 +610,8 @@ def cmd_selftrace(args) -> int:
             trace = Trace.from_bytes(blob)
         hb.tick(3, "serialize")
 
-        # NoiseAnalysis emits the trace-decode span (ctf.records) and the
-        # analysis span with nesting/preemption/classify nested inside.
+        # NoiseAnalysis emits the analysis span with the engine's
+        # trace-decode/nesting/preemption/classify spans nested inside.
         analysis = NoiseAnalysis(trace, meta=meta)
         hb.tick(4, "analyze")
 

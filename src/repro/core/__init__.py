@@ -2,7 +2,7 @@
 
 from repro.core.analysis import NoiseAnalysis, binned_noise_ns
 from repro.core.chart import SyntheticNoiseChart, build_interruptions
-from repro.core.classify import classify_table, noise_activities
+from repro.core.classify import noise_activities
 from repro.core.cluster import ClusterStudy, NodeRun
 from repro.core.compare import FtqComparison, compare_ftq
 from repro.core.disambiguate import (
@@ -30,7 +30,6 @@ from repro.core.model import (
     PREEMPT_EVENT,
     TraceMeta,
 )
-from repro.core.nesting import build_activity_table, build_preemption_table
 from repro.core.noise_model import (
     NoiseProfile,
     NoiseSource,
@@ -63,7 +62,6 @@ __all__ = [
     "binned_noise_ns",
     "SyntheticNoiseChart",
     "build_interruptions",
-    "classify_table",
     "noise_activities",
     "ClusterStudy",
     "NodeRun",
@@ -88,8 +86,6 @@ __all__ = [
     "NoiseCategory",
     "PREEMPT_EVENT",
     "TraceMeta",
-    "build_activity_table",
-    "build_preemption_table",
     "StateInterval",
     "TaskTimeline",
     "EventDelta",

@@ -10,9 +10,12 @@ answers the questions the paper's tables and figures ask:
 * per-quantum noise timelines (the synthetic chart / FTQ comparison);
 * raw activity access for traces and filters.
 
-Everything is computed from one columnar :class:`ActivityTable`
-(``analysis.table``) with masked numpy reductions; ``analysis.activities``
-is the lazily materialized object view for list-shaped consumers.
+The table comes from one :class:`~repro.core.engine.StreamEngine` pass
+that processes the whole trace as one block — the same engine, gap
+handling included, that streaming analysis runs per window.  Everything
+is computed from that columnar :class:`ActivityTable` (``analysis.table``)
+with masked numpy reductions; ``analysis.activities`` is the lazily
+materialized object view for list-shaped consumers.
 
 Noise totals (:meth:`NoiseAnalysis.total_noise_ns`,
 :meth:`~NoiseAnalysis.breakdown_ns`, :meth:`~NoiseAnalysis.noise_fraction`,
@@ -30,7 +33,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro import obs
-from repro.core.classify import classify_table
+from repro.core.engine import StreamEngine, canonical_order
 from repro.core.model import (
     Activity,
     ActivityTable,
@@ -40,8 +43,8 @@ from repro.core.model import (
     NoiseCategory,
     PREEMPT_EVENT,
     TraceMeta,
+    concat_rows,
 )
-from repro.core.nesting import build_activity_table, build_preemption_table
 from repro.tracing.ctf import Trace
 from repro.tracing.events import Ev, NAME_TO_EVENT, RECORD_DTYPE
 from repro.util.stats import DurationStats, describe_durations
@@ -117,9 +120,7 @@ class NoiseAnalysis:
         span_ns: Optional[int] = None,
         ncpus: Optional[int] = None,
     ) -> None:
-        gaps: list = []
         if isinstance(trace, Trace):
-            records, gaps = trace.records_with_gaps()
             self.ncpus = ncpus if ncpus is not None else trace.ncpus
             self.start_ts = trace.start_ts
             self.end_ts = trace.end_ts
@@ -133,21 +134,36 @@ class NoiseAnalysis:
         if span_ns is not None:
             self.end_ts = self.start_ts + span_ns
         self.span_ns = max(1, self.end_ts - self.start_ts)
-        self.records = records
         self.meta = meta if meta is not None else TraceMeta()
 
-        with obs.span("analysis", records=len(records)):
-            kacts = build_activity_table(
-                records, end_ts=self.end_ts, meta=self.meta, gaps=gaps
-            )
-            preemptions = build_preemption_table(
-                records, self.meta, end_ts=self.end_ts, kact_table=kacts
-            )
+        blocks: List[np.ndarray] = []
+        seqs: List[np.ndarray] = []
+
+        def collect(block: ActivityTable, seq: np.ndarray) -> None:
+            blocks.append(block.data)
+            seqs.append(seq)
+
+        engine = StreamEngine(self.meta, on_rows=collect)
+        if isinstance(trace, Trace):
+            # Packet order of StreamingAnalysis.from_trace.
+            for packet in sorted(trace.packets, key=lambda p: p.begin_ts):
+                engine.feed_packet(packet)
+        else:
+            cpus = records["cpu"]
+            for cpu in np.unique(cpus).tolist():
+                engine.feed_records(cpu, records[cpus == cpu])
+        n_records = engine.pending_counts()["records"]
+        with obs.span("analysis", records=n_records):
+            #: Every record, time-sorted (ties by CPU, then per-CPU order).
+            self.records: np.ndarray = engine.process_to(None)
+            engine.finish(self.end_ts)
             #: Every reconstructed activity as one columnar table,
             #: time-sorted and classified.
-            self.table: ActivityTable = classify_table(
-                kacts, preemptions, self.meta
-            )
+            self.table = ActivityTable.empty(meta=self.meta)
+            if blocks:
+                data = concat_rows(blocks)
+                order = canonical_order(data, np.concatenate(seqs))
+                self.table = ActivityTable(data[order], meta=self.meta)
         out_of_range = int((self.table.data["cpu"] >= self.ncpus).sum())
         if out_of_range:
             if obs.enabled():

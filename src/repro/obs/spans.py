@@ -10,8 +10,8 @@ context managers and as decorators::
     with obs.span("analysis", workload="AMG"):
         ...
 
-    @obs.span("nesting")
-    def build_activity_table(...): ...
+    @obs.span("report")
+    def full_report(...): ...
 
 Finished spans land in the registry's per-process buffer; the process-pool
 backend serializes worker buffers and merges them into the parent, so one

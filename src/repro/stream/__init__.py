@@ -8,11 +8,12 @@ same answers incrementally, packet by packet:
 * :class:`StreamDecoder` — incremental bytes -> :class:`Packet` decoding,
   tolerant of arbitrary feed boundaries (a packet may arrive split across
   many reads);
-* :class:`StreamEngine` — cuts the records into canonical-order blocks
-  and runs the batch kernels (ENTRY/EXIT pairing, preemption windows,
-  nested-time subtraction, noise classification) on each, carrying only
-  open state across block boundaries and emitting every activity row once
-  it is final;
+* :class:`StreamEngine` (from :mod:`repro.core.engine`, the engine
+  batch analysis runs as one block) — cuts the records into
+  canonical-order blocks and runs the analysis kernels (ENTRY/EXIT
+  pairing, preemption windows, nested-time subtraction, noise
+  classification) on each, carrying only open state across block
+  boundaries and emitting every activity row once it is final;
 * :class:`WindowMerger` — folds the row blocks into exact integer
   aggregates, per-quantum timeline bins sealed once no in-flight activity
   can still touch them, and per-window :class:`ActivityTable` chunks;
@@ -26,9 +27,9 @@ See ``docs/streaming.md`` for the window/watermark design and the exact
 bit-identity argument.
 """
 
+from repro.core.engine import StreamEngine
 from repro.stream.analysis import StreamingAnalysis
 from repro.stream.decoder import StreamDecoder, iter_packets_chronological
-from repro.stream.engine import StreamEngine
 from repro.stream.window import WindowMerger
 
 __all__ = [

@@ -3,7 +3,7 @@
 :class:`StreamingAnalysis` wires the three streaming stages together —
 decode (:class:`~repro.stream.decoder.StreamDecoder` or packet objects
 straight from the tracer), process
-(:class:`~repro.stream.engine.StreamEngine`), merge
+(:class:`~repro.core.engine.StreamEngine`), merge
 (:class:`~repro.stream.window.WindowMerger`) — behind the same query
 surface the batch :class:`~repro.core.analysis.NoiseAnalysis` offers.
 Every shared query returns bit-identical results on the same trace
@@ -29,9 +29,9 @@ import numpy as np
 
 from repro import obs
 from repro.core.analysis import _resolve_event, marker_rows
+from repro.core.engine import StreamEngine
 from repro.core.model import ActivityTable, NoiseCategory, TraceMeta
 from repro.stream.decoder import StreamDecoder, iter_packets_chronological
-from repro.stream.engine import StreamEngine
 from repro.stream.window import WindowMerger
 from repro.tracing.ctf import Packet, Trace, read_trace_header
 from repro.util.stats import DurationStats
@@ -115,12 +115,7 @@ class StreamingAnalysis:
         if self._finished:
             raise RuntimeError("stream already finished")
         self.packets_fed += 1
-        if packet.lost_before > 0:
-            # Resynchronize at the packet's begin_ts, anchored before the
-            # packet's first record (or the CPU's next record if empty) —
-            # the batch Trace.records_with_gaps() positional anchoring.
-            self._engine.feed_gap(packet.cpu, packet.begin_ts)
-        self._engine.feed_records(packet.cpu, packet.records())
+        self._engine.feed_packet(packet)
         wm = self._wm.get(packet.cpu)
         if wm is None or packet.end_ts > wm:
             self._wm[packet.cpu] = packet.end_ts
@@ -266,7 +261,7 @@ class StreamingAnalysis:
                 self._process(boundary)
 
     def _process(self, boundary: int) -> None:
-        n = self._engine.process_to(boundary)
+        n = len(self._engine.process_to(boundary))
         floor = self._engine.cursor
         if floor is not None:
             pending = self._engine.pending_floor()

@@ -1,7 +1,7 @@
 """Window-granular merging of streaming activity rows.
 
 :class:`WindowMerger` consumes the blocks of finalized rows the
-:class:`~repro.stream.engine.StreamEngine` emits — in *emission* order,
+:class:`~repro.core.engine.StreamEngine` emits — in *emission* order,
 which is not table order, each row with its tie-break number — and
 maintains every aggregate the batch analysis derives from the full table,
 exactly:
@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.core.engine import canonical_order, is_window
 from repro.core.model import (
     ACTIVITY_DTYPE,
     ActivityTable,
@@ -42,8 +43,6 @@ from repro.core.model import (
     CATEGORY_CODE,
     CATEGORY_ORDER,
     NoiseCategory,
-    PREEMPT_EVENT,
-    TRACER_PREEMPT_EVENT,
     TraceMeta,
     activity_name,
     concat_rows,
@@ -188,20 +187,6 @@ class _TimelineBinner:
         return np.array(self.values, dtype=np.float64)
 
 
-def _canonical_order(data: np.ndarray, seq: np.ndarray) -> np.ndarray:
-    """Indices that put finalized rows in batch table order: the merge
-    lexsort key ``(start, cpu, depth)``, then kernel activities before
-    preemption windows, then emission order within each kind."""
-    return np.lexsort(
-        (seq, _is_window(data["event"]), data["depth"], data["cpu"],
-         data["start"])
-    )
-
-
-def _is_window(events: np.ndarray) -> np.ndarray:
-    return (events == PREEMPT_EVENT) | (events == TRACER_PREEMPT_EVENT)
-
-
 def _fold_moments(
     all_moments: Dict[Tuple[int, int], Moments],
     noise_moments: Dict[Tuple[int, int], Moments],
@@ -299,12 +284,12 @@ class WindowMerger:
     def add(self, block: ActivityTable, seq: np.ndarray) -> None:
         """Fold one block of finalized rows into every aggregate; ``seq``
         holds each row's emission number within its kind (see
-        :func:`_canonical_order`)."""
+        :func:`~repro.core.engine.canonical_order`)."""
         d = block.data
         if not len(d):
             return
         self.rows += len(d)
-        window = _is_window(d["event"])
+        window = is_window(d["event"])
         noise = d["is_noise"]
 
         kept = ~d["truncated"]
@@ -381,7 +366,7 @@ class WindowMerger:
             obs.counter("stream.windows").inc()
             obs.counter("stream.window_rows").inc(len(take))
         if self.on_chunk is not None:
-            take = take[_canonical_order(take, seq)]
+            take = take[canonical_order(take, seq)]
             self.on_chunk(index, ActivityTable(take, meta=self.meta))
 
     # ------------------------------------------------------------------

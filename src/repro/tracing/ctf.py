@@ -27,11 +27,10 @@ import io
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator, List, Tuple, Union
+from typing import BinaryIO, Iterator, List, Union
 
 import numpy as np
 
-from repro import obs
 from repro.tracing.events import RECORD_DTYPE, RECORD_SIZE
 from repro.tracing.ringbuffer import SubBuffer
 
@@ -108,58 +107,8 @@ class Trace:
         """All records merged across CPUs, stably sorted by timestamp."""
         if not self.packets:
             return np.empty(0, dtype=RECORD_DTYPE)
-        with obs.span("trace-decode"):
-            parts = [p.records() for p in self.packets]
-            merged = np.concatenate(parts)
-            order = np.argsort(merged["time"], kind="stable")
-            out = merged[order]
-        if obs.enabled():
-            obs.counter("decode.records").inc(len(out))
-            obs.counter("decode.packets").inc(len(self.packets))
-        return out
-
-    def records_with_gaps(self) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
-        """Merged records plus lost-event gap markers.
-
-        Returns ``(records, gaps)`` where ``records`` is exactly what
-        :meth:`records` returns and each gap is ``(cpu, gap_ts, pos)``:
-        a packet with ``lost_before > 0`` marks events lost *before* it,
-        so the analysis must resynchronize at the packet's ``begin_ts``
-        (``gap_ts``) — the first timestamp known good after the loss.
-        ``pos`` anchors the gap positionally in the merged array: the gap
-        happens before the record at index ``pos`` (for an empty packet,
-        before that CPU's next record in a later packet, or at
-        ``len(records)`` when no record follows).  Positional anchoring
-        avoids any ambiguity between records sharing a timestamp.
-        """
-        if not self.packets:
-            return np.empty(0, dtype=RECORD_DTYPE), []
-        with obs.span("trace-decode"):
-            parts = [p.records() for p in self.packets]
-            merged = np.concatenate(parts)
-            order = np.argsort(merged["time"], kind="stable")
-        if obs.enabled():
-            obs.counter("decode.records").inc(len(merged))
-            obs.counter("decode.packets").inc(len(self.packets))
-        pos_of_orig = np.empty(len(merged), dtype=np.int64)
-        pos_of_orig[order] = np.arange(len(merged))
-        offsets = np.concatenate(
-            ([0], np.cumsum([len(x) for x in parts])[:-1])
-        )
-        gaps: List[Tuple[int, int, int]] = []
-        for i, p in enumerate(self.packets):
-            if p.lost_before <= 0:
-                continue
-            # Anchor at this packet's first record; an empty packet (e.g.
-            # the flush tail sub-buffer) anchors at the CPU's next record.
-            anchor = len(merged)
-            for j in range(i, len(self.packets)):
-                if self.packets[j].cpu == p.cpu and len(parts[j]):
-                    anchor = int(pos_of_orig[offsets[j]])
-                    break
-            gaps.append((p.cpu, p.begin_ts, anchor))
-        gaps.sort(key=lambda g: g[2])
-        return merged[order], gaps
+        merged = np.concatenate([p.records() for p in self.packets])
+        return merged[np.argsort(merged["time"], kind="stable")]
 
     def cpu_records(self, cpu: int) -> np.ndarray:
         """One CPU's records in timestamp order."""

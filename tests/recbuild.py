@@ -6,7 +6,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.model import TaskInfo, TraceMeta
+from repro.core.engine import StreamEngine, canonical_order
+from repro.core.model import ActivityTable, TaskInfo, TraceMeta
 from repro.simkernel.task import TaskKind
 from repro.tracing.events import (
     Ev,
@@ -71,3 +72,24 @@ class RecordBuilder:
         for i, row in enumerate(sorted(self.rows, key=lambda r: r[0])):
             arr[i] = row
         return arr
+
+
+def engine_table(records: np.ndarray, end_ts: int, strict: bool = False) -> ActivityTable:
+    """One :class:`StreamEngine` pass over ``records``, each CPU's rows fed
+    as one block and open frames truncated at ``end_ts``; rows in table
+    order.  This is what ``NoiseAnalysis`` builds, with the trace end and
+    ``strict`` under the test's control."""
+    m = meta()
+    blocks: List[Tuple[np.ndarray, np.ndarray]] = []
+    engine = StreamEngine(
+        m, on_rows=lambda block, seq: blocks.append((block.data, seq)),
+        strict=strict,
+    )
+    for cpu in np.unique(records["cpu"]).tolist():
+        engine.feed_records(cpu, records[records["cpu"] == cpu])
+    engine.finish(end_ts)
+    if not blocks:
+        return ActivityTable.empty(meta=m)
+    data = np.concatenate([block for block, _ in blocks])
+    seq = np.concatenate([seq for _, seq in blocks])
+    return ActivityTable(data[canonical_order(data, seq)], meta=m)

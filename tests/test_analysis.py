@@ -212,3 +212,9 @@ class TestTraceInput:
         an = NoiseAnalysis(trace, meta=m)
         assert an.ncpus == 2
         assert an.total_noise_ns() > 0
+
+    def test_records_match_trace_records(self, ftq_run, ftq_analysis):
+        # The engine's one canonical-order block is byte-equal to the
+        # stable time sort of a tracer-written (CPU-major) trace.
+        node, trace, m = ftq_run
+        assert ftq_analysis.records.tobytes() == trace.records().tobytes()

@@ -2,25 +2,16 @@
 
 import pytest
 
-from repro.core.classify import (
-    classify_table,
-    noise_activities,
-    service_activities,
-)
+from repro.core import NoiseAnalysis
+from repro.core.classify import noise_activities, service_activities
 from repro.core.model import NoiseCategory
-from repro.core.nesting import build_activity_table, build_preemption_table
 from repro.simkernel.task import TaskState
 from repro.tracing.events import Ev
 from recbuild import DAEMON, IDLE, RANK, TRACERD, RecordBuilder, meta
 
 
-def classify(records, end_ts=10_000):
-    m = meta()
-    kacts = build_activity_table(records, end_ts=end_ts, meta=m)
-    windows = build_preemption_table(
-        records, m, end_ts=end_ts, kact_table=kacts
-    )
-    return classify_table(kacts, windows, m).rows()
+def classify(records):
+    return NoiseAnalysis(records, meta=meta()).table.rows()
 
 
 class TestCategoryMapping:

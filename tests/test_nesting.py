@@ -2,17 +2,29 @@
 
 import pytest
 
-from repro.core.nesting import build_activity_table, build_preemption_table
+from repro.core.engine import is_window
 from repro.core.model import PREEMPT_EVENT, TRACER_PREEMPT_EVENT
 from repro.simkernel.task import TaskState
 from repro.tracing.events import Ev
-from recbuild import DAEMON, IDLE, RANK, TRACERD, RecordBuilder, meta
+from recbuild import DAEMON, IDLE, RANK, TRACERD, RecordBuilder, engine_table
+
+
+def activities(records, end_ts, strict=False):
+    """Kernel activity rows of one engine pass, in table order."""
+    table = engine_table(records, end_ts, strict=strict)
+    return table.rows(~is_window(table.data["event"]))
+
+
+def windows(records, end_ts):
+    """Preemption window rows of one engine pass, in table order."""
+    table = engine_table(records, end_ts)
+    return table.rows(is_window(table.data["event"]))
 
 
 class TestPairedReconstruction:
     def test_simple_activity(self):
         records = RecordBuilder().activity(100, 600, Ev.IRQ_TIMER).build()
-        acts = build_activity_table(records, end_ts=1000).rows()
+        acts = activities(records, end_ts=1000)
         assert len(acts) == 1
         act = acts[0]
         assert act.name == "timer_interrupt"
@@ -28,7 +40,7 @@ class TestPairedReconstruction:
             .exit(1100, Ev.EXC_PAGE_FAULT)
             .build()
         )
-        acts = build_activity_table(records, end_ts=2000).rows()
+        acts = activities(records, end_ts=2000)
         by_name = {a.name: a for a in acts}
         fault = by_name["page_fault"]
         irq = by_name["timer_interrupt"]
@@ -47,7 +59,7 @@ class TestPairedReconstruction:
             .exit(1000, Ev.SYSCALL)
             .build()
         )
-        acts = build_activity_table(records, end_ts=2000).rows()
+        acts = activities(records, end_ts=2000)
         by_name = {a.name: a for a in acts}
         assert by_name["syscall"].self_ns == 1000 - 300
         assert by_name["page_fault"].self_ns == 300 - 100
@@ -57,19 +69,19 @@ class TestPairedReconstruction:
 
     def test_truncated_at_trace_end(self):
         records = RecordBuilder().entry(500, Ev.SYSCALL).build()
-        acts = build_activity_table(records, end_ts=800).rows()
+        acts = activities(records, end_ts=800)
         assert len(acts) == 1
         assert acts[0].truncated
         assert acts[0].total_ns == 300
 
     def test_unmatched_exit_skipped(self):
         records = RecordBuilder().exit(100, Ev.IRQ_TIMER).build()
-        assert build_activity_table(records, end_ts=200).rows() == []
+        assert activities(records, end_ts=200) == []
 
     def test_unmatched_exit_strict_raises(self):
         records = RecordBuilder().exit(100, Ev.IRQ_TIMER).build()
         with pytest.raises(ValueError):
-            build_activity_table(records, end_ts=200, strict=True)
+            activities(records, end_ts=200, strict=True)
 
     def test_per_cpu_streams_independent(self):
         records = (
@@ -80,7 +92,7 @@ class TestPairedReconstruction:
             .exit(300, Ev.IRQ_TIMER, cpu=0)
             .build()
         )
-        acts = build_activity_table(records, end_ts=1000).rows()
+        acts = activities(records, end_ts=1000)
         by_name = {a.name: a for a in acts}
         # Same-time overlap on different CPUs is NOT nesting.
         assert by_name["timer_interrupt"].self_ns == 200
@@ -95,15 +107,15 @@ class TestPairedReconstruction:
             .activity(100, 200, Ev.IRQ_TIMER)
             .build()
         )
-        acts = build_activity_table(records, end_ts=300).rows()
+        acts = activities(records, end_ts=300)
         assert len(acts) == 1
 
 
 class TestPreemptionWindows:
-    def _preempt_records(self, daemon=DAEMON):
+    def _preempt_records(self, daemon=DAEMON, builder=None):
         # rank preempted at t=1000, daemon runs until 3000, rank restored.
         return (
-            RecordBuilder()
+            (builder or RecordBuilder())
             .state(900, daemon, TaskState.RUNNABLE)
             .state(1000, RANK, TaskState.RUNNABLE)
             .switch(1000, RANK, daemon)
@@ -115,11 +127,9 @@ class TestPreemptionWindows:
         )
 
     def test_window_detected(self):
-        windows = build_preemption_table(
-            self._preempt_records(), meta(), end_ts=5000
-        ).rows()
-        assert len(windows) == 1
-        w = windows[0]
+        found = windows(self._preempt_records(), end_ts=5000)
+        assert len(found) == 1
+        w = found[0]
         assert w.event == PREEMPT_EVENT
         assert (w.start, w.end) == (1000, 3000)
         assert w.displaced_pid == RANK
@@ -133,15 +143,12 @@ class TestPreemptionWindows:
             .switch(3000, DAEMON, IDLE)
             .build()
         )
-        windows = build_preemption_table(records, meta(), end_ts=5000).rows()
-        assert windows == []
+        assert windows(records, end_ts=5000) == []
 
     def test_tracer_daemon_window_tagged(self):
-        windows = build_preemption_table(
-            self._preempt_records(daemon=TRACERD), meta(), end_ts=5000
-        ).rows()
-        assert len(windows) == 1
-        assert windows[0].event == TRACER_PREEMPT_EVENT
+        found = windows(self._preempt_records(daemon=TRACERD), end_ts=5000)
+        assert len(found) == 1
+        assert found[0].event == TRACER_PREEMPT_EVENT
 
     def test_daemon_chain_keeps_displacement(self):
         records = (
@@ -153,10 +160,10 @@ class TestPreemptionWindows:
             .state(2500, RANK, TaskState.RUNNING)
             .build()
         )
-        windows = build_preemption_table(records, meta(), end_ts=5000).rows()
-        assert len(windows) == 2
-        assert windows[0].end == 2000 and windows[1].start == 2000
-        assert all(w.displaced_pid == RANK for w in windows)
+        found = windows(records, end_ts=5000)
+        assert len(found) == 2
+        assert found[0].end == 2000 and found[1].start == 2000
+        assert all(w.displaced_pid == RANK for w in found)
 
     def test_truncated_window(self):
         records = (
@@ -165,18 +172,13 @@ class TestPreemptionWindows:
             .switch(1000, RANK, DAEMON)
             .build()
         )
-        windows = build_preemption_table(records, meta(), end_ts=4000).rows()
-        assert len(windows) == 1
-        assert windows[0].truncated and windows[0].end == 4000
+        found = windows(records, end_ts=4000)
+        assert len(found) == 1
+        assert found[0].truncated and found[0].end == 4000
 
     def test_nested_kact_subtracted_from_window_self(self):
-        records = self._preempt_records()
-        kact_records = (
-            RecordBuilder().activity(1500, 1900, Ev.IRQ_TIMER, pid=DAEMON).build()
-        )
-        kacts = build_activity_table(kact_records, end_ts=5000)
-        windows = build_preemption_table(
-            records, meta(), end_ts=5000, kact_table=kacts
-        ).rows()
-        assert windows[0].total_ns == 2000
-        assert windows[0].self_ns == 1600
+        builder = RecordBuilder().activity(1500, 1900, Ev.IRQ_TIMER, pid=DAEMON)
+        records = self._preempt_records(builder=builder)
+        found = windows(records, end_ts=5000)
+        assert found[0].total_ns == 2000
+        assert found[0].self_ns == 1600

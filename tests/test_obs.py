@@ -380,9 +380,8 @@ class _StubObs:
 _INSTRUMENTED = (
     "repro.simkernel.engine",
     "repro.tracing.tracer",
-    "repro.tracing.ctf",
+    "repro.core.engine",
     "repro.core.nesting",
-    "repro.core.classify",
     "repro.core.analysis",
     "repro.exec.store",
     "repro.exec.backend",
