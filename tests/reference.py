@@ -122,6 +122,11 @@ def build_activities_ref(
         depth = 0
         for frame in stack:
             total = max(0, int(end_ts) - frame.start)
+            # The truncated frame directly above is not this frame's time.
+            above = (
+                max(0, int(end_ts) - stack[depth + 1].start)
+                if depth + 1 < len(stack) else 0
+            )
             activities.append(
                 Activity(
                     event=frame.event,
@@ -131,7 +136,7 @@ def build_activities_ref(
                     start=frame.start,
                     end=int(end_ts),
                     total_ns=total,
-                    self_ns=max(0, total - frame.nested),
+                    self_ns=max(0, total - frame.nested - above),
                     depth=depth,
                     arg=frame.arg,
                     truncated=True,

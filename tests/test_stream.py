@@ -217,6 +217,15 @@ def test_gap_resync_after_lost_records():
     trace = Trace(ncpus=2, start_ts=0, end_ts=100, packets=packets)
     batch, _ = assert_equivalent(trace, meta(), quanta=(30,), window_ns=40)
     assert bool(batch.table.truncated.any())
+    # Both frames truncate at the gap; the outer one's self time excludes
+    # the truncated inner frame, so the 30 ns are counted once.
+    cpu0 = [(a.name, a.start, a.end, a.self_ns, a.truncated)
+            for a in batch.activities if a.cpu == 0]
+    assert cpu0 == [
+        ("syscall", 10, 40, 2, True),
+        ("timer_interrupt", 12, 40, 28, True),
+        ("net_interrupt", 50, 60, 10, False),
+    ]
 
 
 def test_out_of_range_cpus_warn_and_match():
