@@ -70,7 +70,7 @@ def test_fig02_trace_decomposition(benchmark, runs, echo):
     # Export the Paraver bundle (what Fig. 2 is rendered from).
     with tempfile.TemporaryDirectory() as d:
         writer = ParaverWriter(meta, analysis.ncpus, analysis.end_ts)
-        prv, pcf, row = writer.export(os.path.join(d, "ftq"), analysis.activities)
+        prv, pcf, row = writer.export(os.path.join(d, "ftq"), analysis.table)
         _, records = parse_prv(prv)
         echo(f"Paraver export: {len(records)} records in {os.path.basename(prv)}")
         assert records

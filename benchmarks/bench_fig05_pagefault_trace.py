@@ -20,7 +20,7 @@ from repro.io import ParaverWriter, parse_prv
 
 
 def decile_profile(analysis):
-    faults = apply(analysis.activities, by_event("page_fault"))
+    faults = apply(analysis.table, by_event("page_fault"))
     span = analysis.span_ns
     counts = np.zeros(10, dtype=np.int64)
     for act in faults:
@@ -53,7 +53,8 @@ def test_fig05_fault_placement(benchmark, runs, echo):
     # Export the filtered trace (all events but page faults masked), as the
     # figure's caption describes.
     node, trace, meta, analysis = runs.sequoia("AMG")
-    faults = apply(analysis.activities, by_event("page_fault"))
+    table = analysis.table
+    faults = table.take(by_event("page_fault").mask(table))
     with tempfile.TemporaryDirectory() as d:
         writer = ParaverWriter(meta, analysis.ncpus, analysis.end_ts)
         prv, _, _ = writer.export(os.path.join(d, "amg_faults"), faults)

@@ -21,10 +21,9 @@ from repro.util.units import fmt_ns
 def test_fig07_lammps_preemptions(benchmark, runs, echo):
     node, trace, meta, analysis = runs.sequoia("LAMMPS")
 
-    windows = once(
-        benchmark,
-        lambda: apply(analysis.activities, by_event("preemption"), noise_only()),
-    )
+    table = analysis.table
+    keep = by_event("preemption") & noise_only()
+    windows = once(benchmark, lambda: apply(table, keep))
 
     span = analysis.span_ns
     deciles = np.zeros(10, dtype=np.int64)
@@ -54,6 +53,8 @@ def test_fig07_lammps_preemptions(benchmark, runs, echo):
     # The filtered Paraver export (everything but preemptions masked).
     with tempfile.TemporaryDirectory() as d:
         writer = ParaverWriter(meta, analysis.ncpus, analysis.end_ts)
-        prv, _, _ = writer.export(os.path.join(d, "lammps_preempt"), windows)
+        prv, _, _ = writer.export(
+            os.path.join(d, "lammps_preempt"), table.take(keep.mask(table))
+        )
         _, records = parse_prv(prv)
         assert len(records) == 3 * len(windows)

@@ -100,7 +100,7 @@ def main() -> None:
 
     for app, fig in (("AMG", "fig5a"), ("LAMMPS", "fig5b")):
         an = analyses[app]
-        faults = apply(an.activities, by_event("page_fault"))
+        faults = apply(an.table, by_event("page_fault"))
         save(f"{fig}_trace_{app.lower()}", trace_strip(
             faults, an.start_ts, an.end_ts, an.ncpus,
             f"Fig {fig[3:]}: {app} page fault placement",
@@ -117,7 +117,7 @@ def main() -> None:
         ))
 
     an = analyses["LAMMPS"]
-    preemptions = apply(an.activities, by_event("preemption"), noise_only())
+    preemptions = apply(an.table, by_event("preemption"), noise_only())
     save("fig7_preemptions_lammps", trace_strip(
         preemptions, an.start_ts, an.end_ts, an.ncpus,
         "Fig 7: LAMMPS process preemptions",

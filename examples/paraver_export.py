@@ -15,7 +15,7 @@ import os
 import sys
 
 from repro.core import NoiseAnalysis, TraceMeta
-from repro.core.filters import apply, by_event, noise_only
+from repro.core.filters import by_event, noise_only
 from repro.io import ParaverWriter, activities_to_csv, export_npz
 from repro.util.units import MSEC
 from repro.workloads import SequoiaWorkload
@@ -34,23 +34,25 @@ def main() -> None:
     writer = ParaverWriter(meta, node.config.ncpus, analysis.end_ts)
 
     # Full trace.
-    files = writer.export(os.path.join(out_dir, f"{app.lower()}_full"),
-                          analysis.activities)
+    table = analysis.table
+    files = writer.export(os.path.join(out_dir, f"{app.lower()}_full"), table)
     print("full trace:      " + ", ".join(os.path.basename(f) for f in files))
 
     # Figure 5 view: everything but page faults filtered out.
-    faults = apply(analysis.activities, by_event("page_fault"))
+    faults = table.take(by_event("page_fault").mask(table))
     writer.export(os.path.join(out_dir, f"{app.lower()}_pagefaults"), faults)
     print(f"page-fault view: {len(faults)} activities")
 
     # Figure 7 view: only process preemptions.
-    preemptions = apply(analysis.activities, by_event("preemption"), noise_only())
+    preemptions = table.take(
+        (by_event("preemption") & noise_only()).mask(table)
+    )
     writer.export(os.path.join(out_dir, f"{app.lower()}_preemptions"), preemptions)
     print(f"preemption view: {len(preemptions)} activities")
 
     # Numeric exports.
     csv_path = os.path.join(out_dir, f"{app.lower()}_activities.csv")
-    n = activities_to_csv(csv_path, analysis.activities)
+    n = activities_to_csv(csv_path, table)
     export_npz(os.path.join(out_dir, f"{app.lower()}_noise.npz"), analysis)
     print(f"numeric exports: {n} rows -> {os.path.basename(csv_path)}, "
           f"{app.lower()}_noise.npz")

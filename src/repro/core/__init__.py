@@ -2,7 +2,6 @@
 
 from repro.core.analysis import NoiseAnalysis, binned_noise_ns
 from repro.core.chart import SyntheticNoiseChart, build_interruptions
-from repro.core.classify import noise_activities
 from repro.core.cluster import ClusterStudy, NodeRun
 from repro.core.compare import FtqComparison, compare_ftq
 from repro.core.disambiguate import (
@@ -62,7 +61,6 @@ __all__ = [
     "binned_noise_ns",
     "SyntheticNoiseChart",
     "build_interruptions",
-    "noise_activities",
     "ClusterStudy",
     "NodeRun",
     "FtqComparison",

@@ -1,76 +1,40 @@
 """The Synthetic OS Noise Chart (Figures 1b/1d, 9b, 10).
 
 FTQ perceives one opaque "spike" per interruption; the trace decomposes each
-spike into its kernel components.  This module groups temporally-adjacent
-noise activities into :class:`~repro.core.model.Interruption` objects and
-produces the chart series: one ``(time, noise_ns, composition)`` point per
-interruption.
+spike into its kernel components.  This module groups the temporally
+adjacent noise rows of an analysis's
+:class:`~repro.core.model.ActivityTable` into
+:class:`~repro.core.model.Interruption` objects and produces the chart
+series: one ``(time, noise_ns, composition)`` point per interruption.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.analysis import NoiseAnalysis
-from repro.core.model import Activity, ActivityTable, Interruption
+from repro.core.model import ActivityTable, Interruption
 
 
 def build_interruptions(
-    activities: Union[ActivityTable, Sequence[Activity]],
+    table: ActivityTable,
     merge_gap_ns: int = 300,
     cpu: Optional[int] = None,
     noise_only: bool = True,
 ) -> List[Interruption]:
-    """Group activities into interruptions.
+    """Group a table's activities into interruptions.
 
     Activities whose start lies within ``merge_gap_ns`` of the group's
     current end belong to the same interruption — a timer interrupt, the
     ``run_timer_softirq`` it triggers, the two halves of ``schedule()`` and
     the daemon burst in between are back-to-back and form one interruption,
-    exactly as FTQ perceives them.
-
-    Accepts an :class:`ActivityTable` (grouping runs columnar: a per-CPU
-    running-max over end times finds group boundaries) or a plain activity
-    sequence.
+    exactly as FTQ perceives them.  Grouping is columnar: a per-CPU
+    running maximum over end times finds the group boundaries.
     """
     if merge_gap_ns < 0:
         raise ValueError("merge gap must be non-negative")
-    if isinstance(activities, ActivityTable):
-        return _build_interruptions_table(
-            activities, merge_gap_ns, cpu, noise_only
-        )
-    per_cpu: Dict[int, List[Activity]] = {}
-    for act in activities:
-        if noise_only and not act.is_noise:
-            continue
-        if cpu is not None and act.cpu != cpu:
-            continue
-        per_cpu.setdefault(act.cpu, []).append(act)
-
-    out: List[Interruption] = []
-    for cpu_index, acts in per_cpu.items():
-        acts.sort(key=lambda a: (a.start, a.depth))
-        group: Optional[Interruption] = None
-        for act in acts:
-            if group is None or act.start > group.end + merge_gap_ns:
-                group = Interruption(
-                    cpu=cpu_index, start=act.start, end=act.end
-                )
-                out.append(group)
-            group.activities.append(act)
-            group.end = max(group.end, act.end)
-    out.sort(key=lambda g: (g.start, g.cpu))
-    return out
-
-
-def _build_interruptions_table(
-    table: ActivityTable,
-    merge_gap_ns: int,
-    cpu: Optional[int],
-    noise_only: bool,
-) -> List[Interruption]:
     m = np.ones(len(table), dtype=bool)
     if noise_only:
         m &= table.data["is_noise"]
@@ -79,7 +43,7 @@ def _build_interruptions_table(
     sub = table.take(m)
     if not len(sub):
         return []
-    # Per-CPU segments ordered by (start, depth), as the object path sorts.
+    # Per-CPU segments ordered by (start, depth).
     d = sub.data
     order = np.lexsort((d["depth"], d["start"], d["cpu"]))
     sub = sub.take(order)
@@ -130,9 +94,8 @@ class SyntheticNoiseChart:
         indirect tool like FTQ perceives but the noise accounting excludes."""
         self.analysis = analysis
         self.cpu = cpu
-        source = getattr(analysis, "table", None)
         self.interruptions = build_interruptions(
-            source if source is not None else analysis.activities,
+            analysis.table,
             merge_gap_ns=merge_gap_ns,
             cpu=cpu,
             noise_only=noise_only,

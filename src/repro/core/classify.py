@@ -28,12 +28,9 @@ history, in batch and streaming alike.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.core.model import (
-    Activity,
     ActivityTable,
     CATEGORY_CODE,
     EVENT_CATEGORY,
@@ -114,12 +111,3 @@ def _classify_inplace(
         noise[rows[hit]] = True
     kd["is_noise"] = noise
 
-
-def noise_activities(activities: List[Activity]) -> List[Activity]:
-    """Only the activities classified as noise."""
-    return [a for a in activities if a.is_noise]
-
-
-def service_activities(activities: List[Activity]) -> List[Activity]:
-    """Activities attributed to explicit application requests."""
-    return [a for a in activities if a.category == NoiseCategory.SERVICE]

@@ -2,19 +2,17 @@
 about specific areas can use our infrastructure to drill down into any
 particular area of interest by simply applying different filters").
 
-Filters are callables ``Activity -> bool`` combinable with ``&``, ``|``
-and ``~``; :func:`apply` runs them over an activity list **or** an
-:class:`~repro.core.model.ActivityTable`.  Every builtin filter carries a
-vectorized ``mask_fn`` evaluated column-wise on tables; hand-rolled
-predicate filters fall back to evaluating the predicate over the
-materialized rows.  The same filters drive the Paraver exporter's masking
+A :class:`Filter` is a boolean column over an
+:class:`~repro.core.model.ActivityTable`; filters combine with ``&``, ``|``
+and ``~`` into chains that stay vectorized, and :func:`apply` returns the
+matching rows.  The same filters drive the Paraver exporter's masking
 (Figures 5 and 7 show traces with everything but one event type filtered
 out).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, List, Union
 
 import numpy as np
 
@@ -30,55 +28,34 @@ MaskFn = Callable[[ActivityTable], np.ndarray]
 
 
 class Filter:
-    """A composable predicate over activities.
+    """A composable predicate over an :class:`ActivityTable`.
 
-    ``fn`` decides row by row; ``mask_fn`` (when given) answers the same
-    question for a whole :class:`ActivityTable` at once with a boolean
-    column.  Combinators compose both forms, so chains of builtin filters
-    stay fully vectorized.
+    ``mask_fn`` answers the question for a whole table at once with a
+    boolean column; the combinators compose masks.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[Activity], bool],
-        label: str = "",
-        mask_fn: Optional[MaskFn] = None,
-    ) -> None:
-        self.fn = fn
-        self.label = label or getattr(fn, "__name__", "filter")
+    def __init__(self, mask_fn: MaskFn, label: str = "") -> None:
         self.mask_fn = mask_fn
-
-    def __call__(self, act: Activity) -> bool:
-        return self.fn(act)
+        self.label = label or getattr(mask_fn, "__name__", "filter")
 
     def mask(self, table: ActivityTable) -> np.ndarray:
         """Boolean row mask of the filter over a table."""
-        if self.mask_fn is not None:
-            return np.asarray(self.mask_fn(table), dtype=bool)
-        return np.fromiter(
-            (bool(self.fn(a)) for a in table.rows()),
-            dtype=bool,
-            count=len(table),
-        )
+        return np.asarray(self.mask_fn(table), dtype=bool)
 
     def __and__(self, other: "Filter") -> "Filter":
         return Filter(
-            lambda a: self(a) and other(a),
+            lambda t: self.mask(t) & other.mask(t),
             f"({self.label} & {other.label})",
-            mask_fn=lambda t: self.mask(t) & other.mask(t),
         )
 
     def __or__(self, other: "Filter") -> "Filter":
         return Filter(
-            lambda a: self(a) or other(a),
+            lambda t: self.mask(t) | other.mask(t),
             f"({self.label} | {other.label})",
-            mask_fn=lambda t: self.mask(t) | other.mask(t),
         )
 
     def __invert__(self) -> "Filter":
-        return Filter(
-            lambda a: not self(a), f"~{self.label}", mask_fn=lambda t: ~self.mask(t)
-        )
+        return Filter(lambda t: ~self.mask(t), f"~{self.label}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Filter {self.label}>"
@@ -101,20 +78,15 @@ def by_event(*names_or_ids: Union[str, int]) -> Filter:
             ids.add(int(item))
     label = f"event in {sorted(ids)}"
     id_arr = np.array(sorted(ids), dtype=np.int64)
-    return Filter(
-        lambda a: a.event in ids,
-        label,
-        mask_fn=lambda t: np.isin(t.event, id_arr),
-    )
+    return Filter(lambda t: np.isin(t.event, id_arr), label)
 
 
 def by_category(*categories: NoiseCategory) -> Filter:
     cats = set(categories)
     codes = np.array(sorted(CATEGORY_CODE[c] for c in cats), dtype=np.int8)
     return Filter(
-        lambda a: a.category in cats,
+        lambda t: np.isin(t.category, codes),
         f"category in {sorted(c.value for c in cats)}",
-        mask_fn=lambda t: np.isin(t.category, codes),
     )
 
 
@@ -122,9 +94,7 @@ def by_cpu(*cpus: int) -> Filter:
     cpu_set = set(cpus)
     cpu_arr = np.array(sorted(cpu_set), dtype=np.int64)
     return Filter(
-        lambda a: a.cpu in cpu_set,
-        f"cpu in {sorted(cpu_set)}",
-        mask_fn=lambda t: np.isin(t.cpu, cpu_arr),
+        lambda t: np.isin(t.cpu, cpu_arr), f"cpu in {sorted(cpu_set)}"
     )
 
 
@@ -132,33 +102,23 @@ def by_pid(*pids: int) -> Filter:
     pid_set = set(pids)
     pid_arr = np.array(sorted(pid_set), dtype=np.int64)
     return Filter(
-        lambda a: a.pid in pid_set,
-        f"pid in {sorted(pid_set)}",
-        mask_fn=lambda t: np.isin(t.pid, pid_arr),
+        lambda t: np.isin(t.pid, pid_arr), f"pid in {sorted(pid_set)}"
     )
 
 
 def by_window(t0: int, t1: int) -> Filter:
     """Keep activities overlapping the window (Paraver-style zoom)."""
     return Filter(
-        lambda a: a.end > t0 and a.start < t1,
-        f"window [{t0},{t1})",
-        mask_fn=lambda t: (t.end > t0) & (t.start < t1),
+        lambda t: (t.end > t0) & (t.start < t1), f"window [{t0},{t1})"
     )
 
 
 def noise_only() -> Filter:
-    return Filter(
-        lambda a: a.is_noise, "noise", mask_fn=lambda t: t.is_noise.copy()
-    )
+    return Filter(lambda t: t.is_noise.copy(), "noise")
 
 
 def min_duration(ns: int) -> Filter:
-    return Filter(
-        lambda a: a.self_ns >= ns,
-        f"self >= {ns}ns",
-        mask_fn=lambda t: t.self_ns >= ns,
-    )
+    return Filter(lambda t: t.self_ns >= ns, f"self >= {ns}ns")
 
 
 def combined_mask(table: ActivityTable, *filters: Filter) -> np.ndarray:
@@ -169,14 +129,6 @@ def combined_mask(table: ActivityTable, *filters: Filter) -> np.ndarray:
     return m
 
 
-def apply(
-    activities: Union[ActivityTable, Iterable[Activity]], *filters: Filter
-) -> List[Activity]:
-    """Apply all filters conjunctively; returns the matching activities."""
-    if isinstance(activities, ActivityTable):
-        return activities.rows(combined_mask(activities, *filters))
-    out = []
-    for act in activities:
-        if all(f(act) for f in filters):
-            out.append(act)
-    return out
+def apply(table: ActivityTable, *filters: Filter) -> List[Activity]:
+    """Apply all filters conjunctively; returns the matching rows."""
+    return table.rows(combined_mask(table, *filters))

@@ -10,9 +10,10 @@ children).  Statistics use self time so nothing is double counted.
 
 The analysis pipeline stores activities columnar: :class:`ActivityTable` is
 one numpy structured array built once per trace and queried with masks.
-The :class:`Activity` dataclass survives as a per-row view (materialized
-lazily via :meth:`ActivityTable.rows`) so object-shaped consumers keep
-working unchanged.
+Every consumer of reconstructed activities takes the table.  The
+:class:`Activity` dataclass is its object view, materialized lazily via
+:meth:`ActivityTable.rows` for the few callers that want one object per
+row.
 """
 
 from __future__ import annotations
@@ -173,10 +174,9 @@ class ActivityTable:
 
     The analysis pipeline builds the table once per trace and answers every
     query with column masks (``np.bincount`` / ``searchsorted`` /
-    ``np.add.at``) instead of iterating Python objects.  The
-    :class:`Activity` dataclass remains the compatibility view: ``rows()``
-    materializes (a masked subset of) the table as dataclass instances,
-    so list-shaped consumers keep working.
+    ``np.add.at``) instead of iterating Python objects.  ``rows()`` is
+    the object view: it materializes (a masked subset of) the table as
+    :class:`Activity` instances.
 
     ``meta`` is kept so preemption pseudo-activities can resolve their
     ``preempt:<daemon>`` display names.
@@ -207,32 +207,6 @@ class ActivityTable:
         data["displaced_pid"] = -1
         for name, values in columns.items():
             data[name] = values
-        return cls(data, meta=meta)
-
-    @classmethod
-    def from_rows(
-        cls,
-        activities: Sequence[Activity],
-        meta: Optional["TraceMeta"] = None,
-    ) -> "ActivityTable":
-        """Columnar form of an Activity list, preserving order."""
-        data = np.zeros(len(activities), dtype=ACTIVITY_DTYPE)
-        for i, a in enumerate(activities):
-            data[i] = (
-                a.event,
-                a.cpu,
-                a.pid,
-                a.start,
-                a.end,
-                a.total_ns,
-                a.self_ns,
-                a.depth,
-                a.arg,
-                CATEGORY_CODE[a.category],
-                a.is_noise,
-                a.truncated,
-                -1 if a.displaced_pid is None else a.displaced_pid,
-            )
         return cls(data, meta=meta)
 
     # -- column access ---------------------------------------------------

@@ -6,30 +6,34 @@ different offline transformation of the original trace file".  This is that
 other transformation: the Trace Event Format consumed by chrome://tracing,
 Perfetto UI and speedscope.
 
-Mapping:
+Mapping, from an analysis's :class:`~repro.core.model.ActivityTable`:
 
 * each CPU is a Chrome *process* (``pid`` = cpu index), so the timeline
   groups kernel activity per core, like the paper's figures;
 * within a CPU, track 0 carries the kernel activities as complete ("X")
   events — nesting renders as stacked slices, exactly our frame stack;
-* ``sched_switch`` / markers become instant ("i") events;
-* per-task state intervals (optional) go to a separate "tasks" process.
+* per-task state intervals of an optional
+  :class:`~repro.core.timeline.TaskTimeline` go to a separate "tasks"
+  process.
 
-Timestamps are microseconds (floats), per the format.
+Timestamps are microseconds (floats), per the format.  The event builders
+live here; the document itself is written by
+:func:`repro.obs.export.trace_event_json`, the serializer the pipeline's
+self-profile uses too.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
 from repro.core.model import (
-    Activity,
     ActivityTable,
     CATEGORY_ORDER,
     NoiseCategory,
     TraceMeta,
 )
+from repro.obs.export import write_trace_events
 
 #: Category -> Chrome color name (close to the paper's palette).
 _COLOR = {
@@ -45,67 +49,44 @@ _COLOR = {
 
 
 def activities_to_events(
-    activities: Union[ActivityTable, Sequence[Activity]],
-    meta: Optional[TraceMeta] = None,
+    table: ActivityTable, meta: Optional[TraceMeta] = None
 ) -> List[dict]:
-    """Convert activities (table or sequence) into Trace Event Format dicts."""
+    """Convert a table's activities into Trace Event Format dicts."""
     meta = meta if meta is not None else TraceMeta()
+    d = table.data
+    context_of: Dict[int, str] = {}
     events: List[dict] = []
-    if isinstance(activities, ActivityTable):
-        d = activities.data
-        names = activities.names().tolist()
-        context_of: Dict[int, str] = {}
-        rows = zip(
-            names,
-            d["category"].tolist(),
-            d["start"].tolist(),
-            d["total_ns"].tolist(),
-            d["cpu"].tolist(),
-            d["self_ns"].tolist(),
-            d["pid"].tolist(),
-            d["is_noise"].tolist(),
-            d["depth"].tolist(),
-        )
-        for name, code, start, total, cpu, self_ns, pid, noise, depth in rows:
-            category = CATEGORY_ORDER[code]
-            context = context_of.get(pid)
-            if context is None:
-                context = context_of[pid] = meta.name_of(pid)
-            events.append(
-                {
-                    "name": name,
-                    "cat": category.value,
-                    "ph": "X",
-                    "ts": start / 1000.0,
-                    "dur": total / 1000.0,
-                    "pid": cpu,
-                    "tid": 0,
-                    "cname": _COLOR.get(category, "grey"),
-                    "args": {
-                        "self_ns": self_ns,
-                        "context": context,
-                        "noise": noise,
-                        "depth": depth,
-                    },
-                }
-            )
-        return events
-    for act in activities:
+    rows = zip(
+        table.names().tolist(),
+        d["category"].tolist(),
+        d["start"].tolist(),
+        d["total_ns"].tolist(),
+        d["cpu"].tolist(),
+        d["self_ns"].tolist(),
+        d["pid"].tolist(),
+        d["is_noise"].tolist(),
+        d["depth"].tolist(),
+    )
+    for name, code, start, total, cpu, self_ns, pid, noise, depth in rows:
+        category = CATEGORY_ORDER[code]
+        context = context_of.get(pid)
+        if context is None:
+            context = context_of[pid] = meta.name_of(pid)
         events.append(
             {
-                "name": act.name,
-                "cat": act.category.value,
+                "name": name,
+                "cat": category.value,
                 "ph": "X",
-                "ts": act.start / 1000.0,
-                "dur": act.total_ns / 1000.0,
-                "pid": act.cpu,
+                "ts": start / 1000.0,
+                "dur": total / 1000.0,
+                "pid": cpu,
                 "tid": 0,
-                "cname": _COLOR.get(act.category, "grey"),
+                "cname": _COLOR.get(category, "grey"),
                 "args": {
-                    "self_ns": act.self_ns,
-                    "context": meta.name_of(act.pid),
-                    "noise": act.is_noise,
-                    "depth": act.depth,
+                    "self_ns": self_ns,
+                    "context": context,
+                    "noise": noise,
+                    "depth": depth,
                 },
             }
         )
@@ -142,28 +123,26 @@ def timeline_to_events(timeline, meta: Optional[TraceMeta] = None) -> List[dict]
     return events
 
 
-def export_chrome_trace(
-    path: str,
-    activities: Union[ActivityTable, Sequence[Activity]],
+def trace_events(
+    table: ActivityTable,
     meta: Optional[TraceMeta] = None,
     timeline=None,
     ncpus: Optional[int] = None,
-) -> int:
-    """Write a .json trace loadable in chrome://tracing / Perfetto.
+) -> List[dict]:
+    """Every event of the exported trace: the activities, the optional
+    task-state slices and the process/thread naming metadata.
 
-    Returns the number of events written.
+    ``ncpus`` names CPUs ``0..ncpus-1``; without it, the CPUs that
+    appear in the table are named.
     """
     meta = meta if meta is not None else TraceMeta()
-    events = activities_to_events(activities, meta)
+    events = activities_to_events(table, meta)
     if timeline is not None:
         events += timeline_to_events(timeline, meta)
-    # Process/thread naming metadata.
     if ncpus is not None:
         cpus = range(ncpus)
-    elif isinstance(activities, ActivityTable):
-        cpus = sorted(set(activities.data["cpu"].tolist()))
     else:
-        cpus = sorted({a.cpu for a in activities})
+        cpus = sorted(set(table.data["cpu"].tolist()))
     for cpu in cpus:
         events.append(
             {
@@ -192,10 +171,23 @@ def export_chrome_trace(
                     "args": {"name": meta.name_of(pid)},
                 }
             )
-    payload = {"traceEvents": events, "displayTimeUnit": "ns"}
-    with open(path, "w") as fp:
-        json.dump(payload, fp)
-    return len(events)
+    return events
+
+
+def export_chrome_trace(
+    path: str,
+    table: ActivityTable,
+    meta: Optional[TraceMeta] = None,
+    timeline=None,
+    ncpus: Optional[int] = None,
+) -> int:
+    """Write a .json trace loadable in chrome://tracing / Perfetto.
+
+    Returns the number of events written.
+    """
+    return write_trace_events(
+        path, trace_events(table, meta, timeline=timeline, ncpus=ncpus)
+    )
 
 
 def read_chrome_trace(path: str) -> List[dict]:

@@ -10,18 +10,21 @@ the histograms.  Here the same role is played by:
   synthetic chart series and per-event duration arrays, for programmatic
   post-processing (the library's own chart/histogram code consumes the
   in-memory form; this is the at-rest form).
+
+Both read an analysis's :class:`~repro.core.model.ActivityTable` column by
+column.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.analysis import NoiseAnalysis
 from repro.core.chart import SyntheticNoiseChart
-from repro.core.model import Activity, ActivityTable, CATEGORY_ORDER
+from repro.core.model import ActivityTable, CATEGORY_ORDER
 
 CSV_COLUMNS = (
     "start",
@@ -39,56 +42,28 @@ CSV_COLUMNS = (
 )
 
 
-def _csv_rows(activities: Union[ActivityTable, Sequence[Activity]]):
-    if isinstance(activities, ActivityTable):
-        d = activities.data
-        names = activities.names().tolist()
-        cat_values = [CATEGORY_ORDER[c].value for c in d["category"].tolist()]
-        return zip(
-            d["start"].tolist(),
-            d["end"].tolist(),
-            d["cpu"].tolist(),
-            d["pid"].tolist(),
-            d["event"].tolist(),
-            names,
-            cat_values,
-            d["total_ns"].tolist(),
-            d["self_ns"].tolist(),
-            d["depth"].tolist(),
-            (d["is_noise"].astype(np.int8)).tolist(),
-            (d["truncated"].astype(np.int8)).tolist(),
-        )
-    return (
-        (
-            act.start,
-            act.end,
-            act.cpu,
-            act.pid,
-            act.event,
-            act.name,
-            act.category.value,
-            act.total_ns,
-            act.self_ns,
-            act.depth,
-            int(act.is_noise),
-            int(act.truncated),
-        )
-        for act in activities
+def activities_to_csv(path: str, table: ActivityTable) -> int:
+    """Write one CSV row per activity of the table; returns the row count."""
+    d = table.data
+    rows = zip(
+        d["start"].tolist(),
+        d["end"].tolist(),
+        d["cpu"].tolist(),
+        d["pid"].tolist(),
+        d["event"].tolist(),
+        table.names().tolist(),
+        [CATEGORY_ORDER[c].value for c in d["category"].tolist()],
+        d["total_ns"].tolist(),
+        d["self_ns"].tolist(),
+        d["depth"].tolist(),
+        d["is_noise"].astype(np.int8).tolist(),
+        d["truncated"].astype(np.int8).tolist(),
     )
-
-
-def activities_to_csv(
-    path: str, activities: Union[ActivityTable, Sequence[Activity]]
-) -> int:
-    """Write one CSV row per activity; returns the row count."""
     with open(path, "w", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(CSV_COLUMNS)
-        n = 0
-        for row in _csv_rows(activities):
-            writer.writerow(row)
-            n += 1
-    return n
+        writer.writerows(rows)
+    return len(table)
 
 
 def read_activities_csv(path: str) -> List[dict]:
@@ -116,46 +91,20 @@ def read_activities_csv(path: str) -> List[dict]:
         return rows
 
 
-def activity_arrays(
-    activities: Union[ActivityTable, Sequence[Activity]]
-) -> Dict[str, np.ndarray]:
-    """Columnar numpy view of an activity list or table."""
-    if isinstance(activities, ActivityTable):
-        d = activities.data
-        return {
-            "start": d["start"].astype(np.int64),
-            "end": d["end"].astype(np.int64),
-            "cpu": d["cpu"].astype(np.int16),
-            "pid": d["pid"].astype(np.int32),
-            "event": d["event"].astype(np.int32),
-            "total_ns": d["total_ns"].astype(np.int64),
-            "self_ns": d["self_ns"].astype(np.int64),
-            "depth": d["depth"].astype(np.int16),
-            "is_noise": d["is_noise"].copy(),
-        }
-    n = len(activities)
-    out = {
-        "start": np.zeros(n, dtype=np.int64),
-        "end": np.zeros(n, dtype=np.int64),
-        "cpu": np.zeros(n, dtype=np.int16),
-        "pid": np.zeros(n, dtype=np.int32),
-        "event": np.zeros(n, dtype=np.int32),
-        "total_ns": np.zeros(n, dtype=np.int64),
-        "self_ns": np.zeros(n, dtype=np.int64),
-        "depth": np.zeros(n, dtype=np.int16),
-        "is_noise": np.zeros(n, dtype=bool),
+def activity_arrays(table: ActivityTable) -> Dict[str, np.ndarray]:
+    """The table's columns as the NPZ bundle stores them."""
+    d = table.data
+    return {
+        "start": d["start"].astype(np.int64),
+        "end": d["end"].astype(np.int64),
+        "cpu": d["cpu"].astype(np.int16),
+        "pid": d["pid"].astype(np.int32),
+        "event": d["event"].astype(np.int32),
+        "total_ns": d["total_ns"].astype(np.int64),
+        "self_ns": d["self_ns"].astype(np.int64),
+        "depth": d["depth"].astype(np.int16),
+        "is_noise": d["is_noise"].copy(),
     }
-    for i, act in enumerate(activities):
-        out["start"][i] = act.start
-        out["end"][i] = act.end
-        out["cpu"][i] = act.cpu
-        out["pid"][i] = act.pid
-        out["event"][i] = act.event
-        out["total_ns"][i] = act.total_ns
-        out["self_ns"][i] = act.self_ns
-        out["depth"][i] = act.depth
-        out["is_noise"][i] = act.is_noise
-    return out
 
 
 def export_npz(

@@ -2,8 +2,10 @@
 
 The paper's second LTTng extension is "an external LTTng module that
 generates execution traces suitable for Paraver" — the BSC visualizer used
-for all the execution-trace figures (2, 5, 7).  This module writes the
-classic three-file Paraver bundle:
+for all the execution-trace figures (2, 5, 7).  :class:`ParaverWriter`
+writes the classic three-file Paraver bundle from an analysis's
+:class:`~repro.core.model.ActivityTable`, plus optional task-state
+intervals from a :class:`~repro.core.timeline.TaskTimeline`:
 
 * ``.prv``  — the trace: state records (``1:...``) showing what each thread
   was doing and event records (``2:...``) marking activity boundaries;
@@ -19,12 +21,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.model import (
-    Activity,
     ActivityTable,
     CATEGORY_ORDER,
     NoiseCategory,
@@ -91,40 +92,19 @@ class ParaverWriter:
         }
 
     # ------------------------------------------------------------------
-    def prv_lines(
-        self, activities: Union[ActivityTable, Sequence[Activity]]
-    ) -> List[str]:
-        """Generate .prv body lines for the given activities.
-
-        Accepts an :class:`ActivityTable` (sorted and mapped column-wise)
-        or a plain activity sequence.
-        """
-        if isinstance(activities, ActivityTable):
-            d = activities.data
-            order = np.lexsort((d["cpu"], d["start"]))
-            d = d[order]
-            states = _STATE_OF_CODE[d["category"]].tolist()
-            columns = zip(
-                d["pid"].tolist(),
-                (d["cpu"] + 1).tolist(),
-                d["start"].tolist(),
-                d["end"].tolist(),
-                d["event"].tolist(),
-                states,
-            )
-        else:
-            ordered = sorted(activities, key=lambda a: (a.start, a.cpu))
-            columns = (
-                (
-                    a.pid,
-                    a.cpu + 1,
-                    a.start,
-                    a.end,
-                    a.event,
-                    _CATEGORY_STATE.get(a.category, STATE_RUNNING),
-                )
-                for a in ordered
-            )
+    def prv_lines(self, table: ActivityTable) -> List[str]:
+        """Generate .prv body lines for a table's activities, ordered by
+        ``(start, cpu)``."""
+        d = table.data
+        d = d[np.lexsort((d["cpu"], d["start"]))]
+        columns = zip(
+            d["pid"].tolist(),
+            (d["cpu"] + 1).tolist(),
+            d["start"].tolist(),
+            d["end"].tolist(),
+            d["event"].tolist(),
+            _STATE_OF_CODE[d["category"]].tolist(),
+        )
         lines: List[str] = []
         task_no_of = self._task_no
         for pid, cpu, start, end, event, state in columns:
@@ -173,17 +153,14 @@ class ParaverWriter:
         )
 
     def write_prv(
-        self,
-        path: str,
-        activities: Union[ActivityTable, Sequence[Activity]],
-        timeline=None,
+        self, path: str, table: ActivityTable, timeline=None
     ) -> None:
         with open(path, "w") as fp:
             fp.write(self.header() + "\n")
             if timeline is not None:
                 for line in self.state_lines(timeline):
                     fp.write(line + "\n")
-            for line in self.prv_lines(activities):
+            for line in self.prv_lines(table):
                 fp.write(line + "\n")
 
     # ------------------------------------------------------------------
@@ -236,16 +213,13 @@ class ParaverWriter:
 
     # ------------------------------------------------------------------
     def export(
-        self,
-        basename: str,
-        activities: Union[ActivityTable, Sequence[Activity]],
-        timeline=None,
+        self, basename: str, table: ActivityTable, timeline=None
     ) -> Tuple[str, str, str]:
         """Write the full bundle; returns the three file paths."""
         prv = basename + ".prv"
         pcf = basename + ".pcf"
         row = basename + ".row"
-        self.write_prv(prv, activities, timeline=timeline)
+        self.write_prv(prv, table, timeline=timeline)
         with open(pcf, "w") as fp:
             fp.write(self.pcf_text())
         with open(row, "w") as fp:

@@ -7,10 +7,11 @@ Two consumers, two shapes:
   CI and benchmark sidecars keep;
 * :func:`write_chrome_trace` — the Trace Event Format, following the same
   conventions as :mod:`repro.io.chrometrace` (microsecond ``ts``/``dur``,
-  a ``traceEvents`` envelope, process-name metadata), so the pipeline's own
-  execution opens in Perfetto exactly like the simulated kernel's traces.
-  Spans become complete ("X") slices per (pid, tid); metric series become
-  counter ("C") tracks.
+  process-name metadata) and written by the same serializer,
+  :func:`trace_event_json`, so the pipeline's own execution opens in
+  Perfetto exactly like the simulated kernel's traces.  Spans become
+  complete ("X") slices per (pid, tid); metric series become counter
+  ("C") tracks.
 * :func:`prometheus_text` — the Prometheus text exposition format
   (counters as ``_total``, histograms with cumulative ``_bucket{le=...}``
   plus ``_sum``/``_count``), so any scraper or Grafana agent can ingest a
@@ -275,15 +276,26 @@ def chrome_events(snap: Optional[Dict[str, Any]] = None) -> List[dict]:
     return events
 
 
+def trace_event_json(events: List[dict]) -> str:
+    """The Trace Event Format document around ``events``: the one
+    serializer behind this module's self-profile and the simulated
+    kernel's export in :mod:`repro.io.chrometrace`."""
+    return json.dumps({"traceEvents": events, "displayTimeUnit": "ns"})
+
+
+def write_trace_events(path: str, events: List[dict]) -> int:
+    """Write :func:`trace_event_json` to ``path``; returns the event
+    count."""
+    with open(path, "w") as fp:
+        fp.write(trace_event_json(events))
+    return len(events)
+
+
 def write_chrome_trace(
     path: str, snap: Optional[Dict[str, Any]] = None
 ) -> int:
     """Write a Perfetto-loadable self-profile; returns the event count."""
-    events = chrome_events(snap)
-    payload = {"traceEvents": events, "displayTimeUnit": "ns"}
-    with open(path, "w") as fp:
-        json.dump(payload, fp)
-    return len(events)
+    return write_trace_events(path, chrome_events(snap))
 
 
 # ----------------------------------------------------------------------

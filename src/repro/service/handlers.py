@@ -329,28 +329,19 @@ class ServiceApp:
             )
             return Response.text(body + "\n")
         # kind == "chrome"
-        import os
-        import tempfile
-
         from repro.core.timeline import TaskTimeline
-        from repro.io import export_chrome_trace
+        from repro.io.chrometrace import trace_events
+        from repro.obs.export import trace_event_json
 
         timeline = TaskTimeline(
             analysis.records, meta=meta, end_ts=analysis.end_ts
         )
-        fd, path = tempfile.mkstemp(suffix=".json")
-        try:
-            os.close(fd)
-            export_chrome_trace(
-                path, analysis.table, meta,
-                timeline=timeline, ncpus=analysis.ncpus,
-            )
-            with open(path, "rb") as fh:
-                body_bytes = fh.read()
-        finally:
-            os.unlink(path)
+        events = trace_events(
+            analysis.table, meta, timeline=timeline, ncpus=analysis.ncpus
+        )
         return Response(
-            200, body_bytes, content_type="application/json",
+            200, trace_event_json(events).encode(),
+            content_type="application/json",
             headers={
                 "Content-Disposition":
                     f'attachment; filename="{job.id[:12]}.chrome.json"'

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import NoiseAnalysis, SyntheticNoiseChart, build_interruptions
+from repro.core import (
+    ActivityTable,
+    NoiseAnalysis,
+    SyntheticNoiseChart,
+    build_interruptions,
+)
 from repro.tracing.events import Ev
 from repro.util.units import SEC
 from recbuild import RecordBuilder, meta
@@ -23,7 +28,7 @@ class TestGrouping:
             .build()
         )
         an = analysis_of(records)
-        groups = build_interruptions(an.activities)
+        groups = build_interruptions(an.table)
         assert len(groups) == 1
         assert groups[0].signature() == ("timer_interrupt", "run_timer_softirq")
         assert groups[0].noise_ns == 2178 + 1842
@@ -36,7 +41,7 @@ class TestGrouping:
             .build()
         )
         an = analysis_of(records)
-        groups = build_interruptions(an.activities)
+        groups = build_interruptions(an.table)
         assert len(groups) == 2
 
     def test_merge_gap_controls_grouping(self):
@@ -47,8 +52,8 @@ class TestGrouping:
             .build()
         )
         an = analysis_of(records)
-        assert len(build_interruptions(an.activities, merge_gap_ns=100)) == 2
-        assert len(build_interruptions(an.activities, merge_gap_ns=500)) == 1
+        assert len(build_interruptions(an.table, merge_gap_ns=100)) == 2
+        assert len(build_interruptions(an.table, merge_gap_ns=500)) == 1
 
     def test_nested_activity_stays_in_group(self):
         records = (
@@ -59,7 +64,7 @@ class TestGrouping:
             .build()
         )
         an = analysis_of(records)
-        groups = build_interruptions(an.activities)
+        groups = build_interruptions(an.table)
         assert len(groups) == 1
         # Sum of self times == wall union: no double counting.
         assert groups[0].noise_ns == 1000
@@ -72,12 +77,12 @@ class TestGrouping:
             .build()
         )
         an = NoiseAnalysis(records, meta=meta(), span_ns=SEC, ncpus=2)
-        assert len(build_interruptions(an.activities)) == 2
-        assert len(build_interruptions(an.activities, cpu=0)) == 1
+        assert len(build_interruptions(an.table)) == 2
+        assert len(build_interruptions(an.table, cpu=0)) == 1
 
     def test_rejects_negative_gap(self):
         with pytest.raises(ValueError):
-            build_interruptions([], merge_gap_ns=-1)
+            build_interruptions(ActivityTable.empty(), merge_gap_ns=-1)
 
 
 class TestChartQueries:

@@ -31,7 +31,7 @@ def an():
 
 class TestActivityEvents:
     def test_complete_events(self, an):
-        events = activities_to_events(an.activities, meta())
+        events = activities_to_events(an.table, meta())
         assert len(events) == 2
         tick = next(e for e in events if e["name"] == "timer_interrupt")
         assert tick["ph"] == "X"
@@ -41,7 +41,7 @@ class TestActivityEvents:
         assert tick["args"]["noise"] is True
 
     def test_context_names_resolved(self, an):
-        events = activities_to_events(an.activities, meta())
+        events = activities_to_events(an.table, meta())
         assert events[0]["args"]["context"] == "rank0"
 
 
@@ -63,7 +63,7 @@ class TestTimelineEvents:
 class TestExport:
     def test_file_loads_as_valid_json(self, tmp_path, an):
         path = str(tmp_path / "trace.json")
-        n = export_chrome_trace(path, an.activities, meta(), ncpus=2)
+        n = export_chrome_trace(path, an.table, meta(), ncpus=2)
         events = read_chrome_trace(path)
         assert len(events) == n
         # Metadata names every CPU process.
@@ -80,7 +80,7 @@ class TestExport:
         )
         timeline = TaskTimeline(records, meta=meta(), end_ts=SEC)
         path = str(tmp_path / "trace.json")
-        export_chrome_trace(path, an.activities, meta(), timeline=timeline)
+        export_chrome_trace(path, an.table, meta(), timeline=timeline)
         events = read_chrome_trace(path)
         thread_names = [
             e for e in events if e.get("ph") == "M" and e["name"] == "thread_name"
@@ -98,8 +98,8 @@ class TestExport:
         node, trace, m = ftq_run
         path = str(tmp_path / "ftq.json")
         n = export_chrome_trace(
-            path, ftq_analysis.activities, m, ncpus=node.config.ncpus
+            path, ftq_analysis.table, m, ncpus=node.config.ncpus
         )
-        assert n > len(ftq_analysis.activities)
+        assert n > len(ftq_analysis.table)
         # Valid JSON end to end.
         assert read_chrome_trace(path)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import NoiseAnalysis
-from repro.core.classify import noise_activities, service_activities
 from repro.core.model import NoiseCategory
 from repro.simkernel.task import TaskState
 from repro.tracing.events import Ev
@@ -11,7 +10,11 @@ from recbuild import DAEMON, IDLE, RANK, TRACERD, RecordBuilder, meta
 
 
 def classify(records):
-    return NoiseAnalysis(records, meta=meta()).table.rows()
+    return NoiseAnalysis(records, meta=meta()).table
+
+
+def noise_rows(table):
+    return table.rows(table.mask(noise_only=True))
 
 
 class TestCategoryMapping:
@@ -30,7 +33,7 @@ class TestCategoryMapping:
             .activity(1900, 2000, Ev.SYSCALL)
             .build()
         )
-        acts = classify(records)
+        acts = classify(records).rows()
         by_name = {a.name: a.category for a in acts}
         assert by_name["timer_interrupt"] == NoiseCategory.PERIODIC
         assert by_name["run_timer_softirq"] == NoiseCategory.PERIODIC
@@ -47,20 +50,21 @@ class TestCategoryMapping:
 class TestNoiseRules:
     def test_activity_over_running_rank_is_noise(self):
         records = RecordBuilder().activity(100, 200, Ev.IRQ_TIMER, pid=RANK).build()
-        acts = classify(records)
+        acts = classify(records).rows()
         assert acts[0].is_noise
 
     def test_syscall_is_service_not_noise(self):
         records = RecordBuilder().activity(100, 200, Ev.SYSCALL, pid=RANK).build()
-        acts = classify(records)
+        table = classify(records)
+        acts = table.rows()
         assert not acts[0].is_noise
-        assert service_activities(acts) == acts
+        assert table.rows(table.mask(category=NoiseCategory.SERVICE)) == acts
 
     def test_activity_over_idle_is_not_noise(self):
         # The paper: a kernel interruption while the process is blocked
         # waiting for communication is not noise.
         records = RecordBuilder().activity(100, 200, Ev.IRQ_TIMER, pid=IDLE).build()
-        acts = classify(records)
+        acts = classify(records).rows()
         assert not acts[0].is_noise
 
     def test_preemption_window_is_noise(self):
@@ -72,8 +76,7 @@ class TestNoiseRules:
             .state(3000, RANK, TaskState.RUNNING)
             .build()
         )
-        acts = classify(records)
-        noise = noise_activities(acts)
+        noise = noise_rows(classify(records))
         assert len(noise) == 1
         assert noise[0].category == NoiseCategory.PREEMPTION
 
@@ -86,9 +89,9 @@ class TestNoiseRules:
             .state(3000, RANK, TaskState.RUNNING)
             .build()
         )
-        acts = classify(records)
-        assert noise_activities(acts) == []
-        assert acts[0].category == NoiseCategory.TRACER
+        table = classify(records)
+        assert noise_rows(table) == []
+        assert table.rows()[0].category == NoiseCategory.TRACER
 
     def test_tick_during_preemption_is_noise(self):
         # A timer interrupt nested in a daemon's run still delays the
@@ -102,8 +105,7 @@ class TestNoiseRules:
             .state(3000, RANK, TaskState.RUNNING)
             .build()
         )
-        acts = classify(records)
-        noise = noise_activities(acts)
+        noise = noise_rows(classify(records))
         names = {a.name for a in noise}
         assert "timer_interrupt" in names
         window = next(a for a in noise if a.category == NoiseCategory.PREEMPTION)
@@ -120,8 +122,7 @@ class TestNoiseRules:
             .switch(3000, DAEMON, IDLE)
             .build()
         )
-        acts = classify(records)
-        assert noise_activities(acts) == []
+        assert noise_rows(classify(records)) == []
 
     def test_blocked_rank_daemon_run_not_noise(self):
         records = (
@@ -131,5 +132,4 @@ class TestNoiseRules:
             .switch(3000, DAEMON, IDLE)
             .build()
         )
-        acts = classify(records)
-        assert noise_activities(acts) == []
+        assert noise_rows(classify(records)) == []

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.core import NoiseAnalysis
 from repro.core.model import (
     Activity,
-    ActivityTable,
     CATEGORY_ORDER,
     NoiseCategory,
     PREEMPT_EVENT,
@@ -121,15 +120,6 @@ def test_columnar_matches_reference(data):
         np.testing.assert_array_equal(
             col.noise_timeline(quantum), ref.noise_timeline(quantum)
         )
-
-
-@given(record_streams())
-@settings(max_examples=40, deadline=None)
-def test_table_rows_round_trip(data):
-    records, span, _ = data
-    table = NoiseAnalysis(records, meta=meta(), span_ns=span).table
-    rebuilt = ActivityTable.from_rows(table.rows(), meta=table.meta)
-    assert np.array_equal(rebuilt.data, table.data)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from recbuild import RecordBuilder, meta
 
 def interruptions_of(records):
     an = NoiseAnalysis(records, meta=meta(), span_ns=SEC)
-    return build_interruptions(an.activities)
+    return build_interruptions(an.table)
 
 
 class TestFigure10Scenario:

@@ -19,7 +19,7 @@ from recbuild import RANK, RANK2, RecordBuilder, meta
 
 
 @pytest.fixture
-def activities():
+def table():
     records = (
         RecordBuilder()
         .activity(100, 200, Ev.IRQ_TIMER, cpu=0, pid=RANK)
@@ -27,53 +27,53 @@ def activities():
         .activity(1000, 1100, Ev.SYSCALL, cpu=0, pid=RANK)
         .build()
     )
-    return NoiseAnalysis(records, meta=meta(), span_ns=SEC, ncpus=2).activities
+    return NoiseAnalysis(records, meta=meta(), span_ns=SEC, ncpus=2).table
 
 
 class TestAtomicFilters:
-    def test_by_event_names_and_ids(self, activities):
-        assert len(apply(activities, by_event("page_fault"))) == 1
-        assert len(apply(activities, by_event(Ev.IRQ_TIMER))) == 1
-        assert len(apply(activities, by_event("page_fault", "syscall"))) == 2
+    def test_by_event_names_and_ids(self, table):
+        assert len(apply(table, by_event("page_fault"))) == 1
+        assert len(apply(table, by_event(Ev.IRQ_TIMER))) == 1
+        assert len(apply(table, by_event("page_fault", "syscall"))) == 2
 
     def test_by_event_rejects_unknown(self):
         with pytest.raises(ValueError):
             by_event("bogus")
 
-    def test_by_category(self, activities):
-        assert len(apply(activities, by_category(NoiseCategory.SERVICE))) == 1
+    def test_by_category(self, table):
+        assert len(apply(table, by_category(NoiseCategory.SERVICE))) == 1
 
-    def test_by_cpu(self, activities):
-        assert len(apply(activities, by_cpu(0))) == 2
+    def test_by_cpu(self, table):
+        assert len(apply(table, by_cpu(0))) == 2
 
-    def test_by_pid(self, activities):
-        assert len(apply(activities, by_pid(RANK2))) == 1
+    def test_by_pid(self, table):
+        assert len(apply(table, by_pid(RANK2))) == 1
 
-    def test_by_window_overlap_semantics(self, activities):
-        assert len(apply(activities, by_window(150, 400))) == 2
+    def test_by_window_overlap_semantics(self, table):
+        assert len(apply(table, by_window(150, 400))) == 2
 
-    def test_noise_only(self, activities):
-        assert len(apply(activities, noise_only())) == 2  # syscall excluded
+    def test_noise_only(self, table):
+        assert len(apply(table, noise_only())) == 2  # syscall excluded
 
-    def test_min_duration(self, activities):
-        assert len(apply(activities, min_duration(500))) == 1
+    def test_min_duration(self, table):
+        assert len(apply(table, min_duration(500))) == 1
 
 
 class TestComposition:
-    def test_and(self, activities):
+    def test_and(self, table):
         f = by_cpu(0) & noise_only()
-        assert len(apply(activities, f)) == 1
+        assert len(apply(table, f)) == 1
 
-    def test_or(self, activities):
+    def test_or(self, table):
         f = by_event("page_fault") | by_event("syscall")
-        assert len(apply(activities, f)) == 2
+        assert len(apply(table, f)) == 2
 
-    def test_invert(self, activities):
+    def test_invert(self, table):
         f = ~by_event("syscall")
-        assert len(apply(activities, f)) == 2
+        assert len(apply(table, f)) == 2
 
-    def test_multiple_filters_conjunctive(self, activities):
-        assert len(apply(activities, by_cpu(0), by_event("syscall"))) == 1
+    def test_multiple_filters_conjunctive(self, table):
+        assert len(apply(table, by_cpu(0), by_event("syscall"))) == 1
 
     def test_label_propagation(self):
         f = by_cpu(0) & noise_only()

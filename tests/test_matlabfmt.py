@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import NoiseAnalysis
+from repro.core import ActivityTable, NoiseAnalysis
 from repro.io.matlabfmt import (
     activities_to_csv,
     activity_arrays,
@@ -30,7 +30,7 @@ def an():
 class TestCsv:
     def test_roundtrip(self, tmp_path, an):
         path = str(tmp_path / "acts.csv")
-        n = activities_to_csv(path, an.activities)
+        n = activities_to_csv(path, an.table)
         rows = read_activities_csv(path)
         assert n == len(rows) == 3
         fault = next(r for r in rows if r["name"] == "page_fault")
@@ -41,13 +41,13 @@ class TestCsv:
 
     def test_empty(self, tmp_path):
         path = str(tmp_path / "empty.csv")
-        assert activities_to_csv(path, []) == 0
+        assert activities_to_csv(path, ActivityTable.empty()) == 0
         assert read_activities_csv(path) == []
 
 
 class TestArrays:
     def test_columns_aligned(self, an):
-        cols = activity_arrays(an.activities)
+        cols = activity_arrays(an.table)
         assert cols["start"].shape == cols["self_ns"].shape
         assert cols["is_noise"].sum() == 2
         assert int(cols["total_ns"].sum()) == 100 + 400 + 100

@@ -34,7 +34,7 @@ class TestWriter:
 
     def test_state_and_event_records(self, simple_analysis):
         writer = ParaverWriter(meta(), ncpus=2, end_ts=SEC)
-        lines = writer.prv_lines(simple_analysis.activities)
+        lines = writer.prv_lines(simple_analysis.table)
         # Each activity: one state line + begin/end event lines.
         assert len(lines) == 6
         assert lines[0].startswith("1:")
@@ -42,7 +42,7 @@ class TestWriter:
 
     def test_cpu_indices_one_based(self, simple_analysis):
         writer = ParaverWriter(meta(), ncpus=2, end_ts=SEC)
-        lines = writer.prv_lines(simple_analysis.activities)
+        lines = writer.prv_lines(simple_analysis.table)
         state_cpus = {int(l.split(":")[1]) for l in lines if l.startswith("1:")}
         assert state_cpus == {1, 2}
 
@@ -66,7 +66,7 @@ class TestExportAndParse:
     def test_bundle_roundtrip(self, tmp_path, simple_analysis):
         writer = ParaverWriter(meta(), ncpus=2, end_ts=SEC)
         prv, pcf, row = writer.export(
-            str(tmp_path / "trace"), simple_analysis.activities
+            str(tmp_path / "trace"), simple_analysis.table
         )
         header, records = parse_prv(prv)
         states = [r for r in records if r.kind == 1]
@@ -132,7 +132,7 @@ class TestTaskStateExport:
         writer = ParaverWriter(meta(), ncpus=2, end_ts=SEC)
         prv, _, _ = writer.export(
             str(tmp_path / "with_states"),
-            simple_analysis.activities,
+            simple_analysis.table,
             timeline=timeline,
         )
         header, records = parse_prv(prv)
@@ -148,7 +148,7 @@ class TestOnRealTrace:
         node, trace, m = ftq_run
         writer = ParaverWriter(m, node.config.ncpus, ftq_analysis.end_ts)
         prv, _, _ = writer.export(
-            str(tmp_path / "ftq"), ftq_analysis.activities
+            str(tmp_path / "ftq"), ftq_analysis.table
         )
         header, records = parse_prv(prv)
-        assert len(records) == 3 * len(ftq_analysis.activities)
+        assert len(records) == 3 * len(ftq_analysis.table)

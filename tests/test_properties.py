@@ -88,7 +88,7 @@ def test_nesting_invariants(data):
 def test_interruption_grouping_invariants(data):
     records, segments, t_end = data
     an = NoiseAnalysis(records, meta=meta(), span_ns=t_end)
-    groups = build_interruptions(an.activities, noise_only=False)
+    groups = build_interruptions(an.table, noise_only=False)
     # Groups are disjoint in time per CPU and ordered.
     for a, b in zip(groups, groups[1:]):
         if a.cpu == b.cpu:
@@ -104,7 +104,7 @@ def test_paraver_roundtrip_property(data):
     records, segments, t_end = data
     an = NoiseAnalysis(records, meta=meta(), span_ns=t_end)
     writer = ParaverWriter(meta(), ncpus=1, end_ts=t_end)
-    lines = [writer.header()] + writer.prv_lines(an.activities)
+    lines = [writer.header()] + writer.prv_lines(an.table)
     header, parsed = parse_prv("\n".join(lines))
     states = [r for r in parsed if r.kind == 1]
     assert len(states) == len(an.activities)
