@@ -247,7 +247,7 @@ def cmd_chart(args) -> int:
                                    t_origin=analysis.start_ts))
     else:
         print("largest interruptions:")
-        print(format_interruptions(chart.largest(args.top),
+        print(format_interruptions(chart.largest(args.top), limit=args.top,
                                    t_origin=analysis.start_ts))
     if args.ambiguous:
         pairs = find_ambiguous_pairs(

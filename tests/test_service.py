@@ -264,6 +264,53 @@ class TestBatchParity:
             client.wait(job["id"])
             assert client.render(job["id"], "report") == cli.out
 
+    def test_render_chart_is_the_cli_chart_stdout(self, server, tmp_path,
+                                                  capsys):
+        """``lttng-noise chart --top N`` prints the same N rows as the
+        service's chart render with ``top=N``, byte for byte, also past
+        the formatter's default limit of 20 rows."""
+        from repro.cli import main
+
+        base = str(tmp_path / "ftq")
+        assert main(["record", "FTQ", "--duration", "200ms", "--seed", "3",
+                     "--ncpus", "2", "-o", base]) == 0
+        capsys.readouterr()
+        assert main(["chart", base + ".lttnz", "--top", "25"]) == 0
+        cli = capsys.readouterr().out
+        assert cli.count("t=") == 25
+        with server.client() as client:
+            job = client.submit(RunSpec.make("FTQ", 200 * MSEC, 3, 2))["job"]
+            client.wait(job["id"])
+            assert client.render(job["id"], "chart", top=25) == cli
+
+    def test_render_chrome_is_the_cli_export_file(self, server, tmp_path,
+                                                  capsys):
+        """The service's chrome render body equals the file
+        ``lttng-noise export --chrome`` writes for the same run."""
+        import http.client
+
+        from repro.cli import main
+
+        base = str(tmp_path / "ftq")
+        assert main(["record", "FTQ", "--duration", "50ms", "--seed", "3",
+                     "--ncpus", "2", "-o", base]) == 0
+        path = str(tmp_path / "ftq.chrome.json")
+        assert main(["export", base + ".lttnz", "--chrome", path]) == 0
+        capsys.readouterr()
+        with server.client() as client:
+            job = client.submit(spec(seed=3))["job"]
+            client.wait(job["id"])
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            conn.request("GET", f"/v1/jobs/{job['id']}/render/chrome")
+            response = conn.getresponse()
+            assert response.status == 200
+            body = response.read()
+        finally:
+            conn.close()
+        with open(path, "rb") as fh:
+            assert body == fh.read()
+
     def test_trace_upload_matches_batch_analysis(self, server):
         """Streaming an uploaded trace through the service produces the
         same numbers as batch-analyzing it locally."""
