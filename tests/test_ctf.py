@@ -1,6 +1,7 @@
 """Unit + property tests for the binary trace codec."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from repro.tracing.ctf import (
     Packet,
     Trace,
     TraceFormatError,
+    _PACKET_HEADER,
+    _TRACE_HEADER,
     packet_from_subbuffer,
 )
 from repro.tracing.events import RECORD_SIZE, pack_record
@@ -305,3 +308,48 @@ class TestShortReads:
                 if "#" in batch_error:
                     packet_index = batch_error.split("#")[1][0]
                     assert f"packet #{packet_index}" in stream_error
+
+
+# ----------------------------------------------------------------------
+# The batch reader and the streaming decoder share packet validation.
+# ----------------------------------------------------------------------
+
+def _decode_errors(data):
+    """The TraceFormatError messages of ``Trace.from_bytes`` and of a
+    ``StreamDecoder`` fed one byte at a time, on the same bytes."""
+    from repro.stream import StreamDecoder
+
+    with pytest.raises(TraceFormatError) as batch:
+        Trace.from_bytes(data)
+    decoder = StreamDecoder()
+    with pytest.raises(TraceFormatError) as stream:
+        for i in range(len(data)):
+            decoder.feed(data[i:i + 1])
+        decoder.finish()
+    return str(batch.value), str(stream.value)
+
+
+class TestDecoderParity:
+    def test_corrupt_compressed_packet(self):
+        data = bytearray(TestCompression()._trace().to_bytes(compress=True))
+        data[-10] ^= 0xFF  # clobber compressed payload
+        batch, stream = _decode_errors(bytes(data))
+        assert batch.startswith("corrupt compressed packet (packet #0): ")
+        assert stream == batch
+
+    def test_payload_size_mismatch(self):
+        data = bytearray(_two_packet_trace().to_bytes())
+        # Claim one more record in the second packet than its payload holds.
+        second = _TRACE_HEADER.size + _PACKET_HEADER.size + 2 * RECORD_SIZE
+        struct.pack_into("<I", data, second + 8, 2)
+        batch, stream = _decode_errors(bytes(data))
+        assert batch == "packet payload size mismatch on cpu 1 (packet #1)"
+        assert stream == batch
+
+    def test_bad_packet_magic(self):
+        data = bytearray(_two_packet_trace().to_bytes())
+        data[_TRACE_HEADER.size] ^= 0xFF
+        batch, stream = _decode_errors(bytes(data))
+        assert batch.startswith("bad packet magic: ")
+        assert batch.endswith("(packet #0)")
+        assert stream == batch
