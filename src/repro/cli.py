@@ -175,8 +175,8 @@ def cmd_report(args) -> int:
             print("\n(no phase markers in this trace)")
     # stdout stays the service's report render, byte for byte; the input
     # summary is a diagnostic.
-    if len(analysis.records):
-        print(f"records: {len(analysis.records)}, span "
+    if analysis.records_processed:
+        print(f"records: {analysis.records_processed}, span "
               f"{fmt_ns(analysis.span_ns)}, {analysis.ncpus} cpus",
               file=sys.stderr)
     return 0

@@ -28,6 +28,7 @@ exactly the CPUs its ``span_ns * ncpus`` denominator covers.
 from __future__ import annotations
 
 import warnings
+from functools import cached_property
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.core.model import (
     PREEMPT_EVENT,
     TraceMeta,
     concat_rows,
+    take_rows,
 )
 from repro.tracing.ctf import Trace
 from repro.tracing.events import Ev, NAME_TO_EVENT, RECORD_DTYPE
@@ -154,8 +156,8 @@ class NoiseAnalysis:
                 engine.feed_records(cpu, records[cpus == cpu])
         n_records = engine.pending_counts()["records"]
         with obs.span("analysis", records=n_records):
-            #: Every record, time-sorted (ties by CPU, then per-CPU order).
-            self.records: np.ndarray = engine.process_to(None)
+            # CPU-major; ``records`` sorts it on first use.
+            self._block: Optional[np.ndarray] = engine.process_to(None)
             engine.finish(self.end_ts)
             #: Every reconstructed activity as one columnar table,
             #: time-sorted and classified.
@@ -163,7 +165,12 @@ class NoiseAnalysis:
             if blocks:
                 data = concat_rows(blocks)
                 order = canonical_order(data, np.concatenate(seqs))
-                self.table = ActivityTable(data[order], meta=self.meta)
+                self.table = ActivityTable(
+                    take_rows(data, order), meta=self.meta
+                )
+        #: Number of records analyzed.
+        self.records_processed = engine.records_processed
+        self._markers = engine.markers()
         out_of_range = int((self.table.data["cpu"] >= self.ncpus).sum())
         if out_of_range:
             if obs.enabled():
@@ -177,6 +184,15 @@ class NoiseAnalysis:
         self._activities: Optional[List[Activity]] = None
         self._stats_by_event: Dict[bool, Dict[str, DurationStats]] = {}
 
+    @cached_property
+    def records(self) -> np.ndarray:
+        """Every record, time-sorted (ties by CPU, then per-CPU order).
+
+        The engine works on CPU-major blocks; this stable time sort of
+        the block is done the first time it is read."""
+        block, self._block = self._block, None
+        return take_rows(block, block["time"].argsort(kind="stable"))
+
     @property
     def activities(self) -> List[Activity]:
         """Object view of the table (materialized lazily, then cached)."""
@@ -184,8 +200,10 @@ class NoiseAnalysis:
             self._activities = self.table.rows()
         return self._activities
 
+    @cached_property
     def _noise_mask(self) -> np.ndarray:
-        """Noise rows on CPUs the analysis covers (``cpu < ncpus``)."""
+        """Noise rows on CPUs the analysis covers (``cpu < ncpus``);
+        computed once, as the analysis does not change."""
         d = self.table.data
         return d["is_noise"] & (d["cpu"] < self.ncpus)
 
@@ -276,9 +294,15 @@ class NoiseAnalysis:
     # Breakdown (Figure 3)
     # ------------------------------------------------------------------
     def breakdown_ns(self) -> Dict[NoiseCategory, int]:
-        """Total noise self-time per category (truncated included)."""
+        """Total noise self-time per category (truncated included).
+
+        Computed once; each call returns a fresh dict."""
+        return dict(self._breakdown)
+
+    @cached_property
+    def _breakdown(self) -> Dict[NoiseCategory, int]:
         d = self.table.data
-        m = self._noise_mask()
+        m = self._noise_mask
         codes = d["category"][m]
         acc = np.zeros(len(CATEGORY_ORDER), dtype=np.int64)
         np.add.at(acc, codes, d["self_ns"][m])
@@ -299,7 +323,7 @@ class NoiseAnalysis:
         return {c: v / grand for c, v in totals.items()}
 
     def total_noise_ns(self) -> int:
-        return int(self.table.data["self_ns"][self._noise_mask()].sum())
+        return int(self.table.data["self_ns"][self._noise_mask].sum())
 
     def noise_fraction(self) -> float:
         """Noise time as a fraction of total CPU time observed.
@@ -313,7 +337,7 @@ class NoiseAnalysis:
     def per_cpu_noise_ns(self) -> np.ndarray:
         """Total noise per CPU — where the jitter actually lands."""
         d = self.table.data
-        m = self._noise_mask()
+        m = self._noise_mask
         out = np.zeros(self.ncpus, dtype=np.int64)
         np.add.at(out, d["cpu"][m], d["self_ns"][m])
         return out
@@ -321,7 +345,7 @@ class NoiseAnalysis:
     def per_cpu_breakdown(self) -> "Dict[int, Dict[NoiseCategory, int]]":
         """Per-CPU category totals (noise only)."""
         d = self.table.data
-        m = self._noise_mask()
+        m = self._noise_mask
         cpus = d["cpu"][m]
         codes = d["category"][m]
         acc = np.zeros((self.ncpus, len(CATEGORY_ORDER)), dtype=np.int64)
@@ -356,7 +380,7 @@ class NoiseAnalysis:
     def markers(self) -> "np.ndarray":
         """Workload marker point events as ``(time, pid, arg)`` rows
         (phase changes, FTQ quantum marks, ...)."""
-        return marker_rows(self.records)
+        return marker_rows(self._markers)
 
     def noise_timeline(
         self,

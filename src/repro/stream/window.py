@@ -46,6 +46,7 @@ from repro.core.model import (
     TraceMeta,
     activity_name,
     concat_rows,
+    take_rows,
 )
 from repro.util.stats import DurationStats
 from repro.util.units import SEC
@@ -313,7 +314,7 @@ class WindowMerger:
         if self._binners and noise.any():
             # The timeline has no cpu/truncated mask: every noise row
             # contributes, batch-identically.
-            nd = d[noise]
+            nd = take_rows(d, noise)
             density = nd["self_ns"] / np.maximum(nd["total_ns"], 1)
             entries = list(zip(
                 nd["start"].tolist(), nd["cpu"].tolist(),
@@ -355,10 +356,10 @@ class WindowMerger:
         b1 = b0 + self.window_ns
         self._boundary = b1
         m = self._chunk_rows["start"] < b1
-        take = self._chunk_rows[m]
+        take = take_rows(self._chunk_rows, m)
         seq = self._chunk_seq[m]
         if len(take):
-            self._chunk_rows = self._chunk_rows[~m]
+            self._chunk_rows = take_rows(self._chunk_rows, ~m)
             self._chunk_seq = self._chunk_seq[~m]
         index = (b0 - self.start_ts) // self.window_ns
         self.windows_emitted += 1
@@ -366,7 +367,7 @@ class WindowMerger:
             obs.counter("stream.windows").inc()
             obs.counter("stream.window_rows").inc(len(take))
         if self.on_chunk is not None:
-            take = take[canonical_order(take, seq)]
+            take = take_rows(take, canonical_order(take, seq))
             self.on_chunk(index, ActivityTable(take, meta=self.meta))
 
     # ------------------------------------------------------------------
