@@ -19,7 +19,8 @@ Activities of the tracer's own collection daemon are excluded entirely
 (paper footnote 4).
 
 Classification is columnar: categories come from an event-id lookup table,
-the context kind from one ``np.unique`` pass over pids, and the
+the context kind from a :class:`~repro.core.model.PidKinds` slot lookup
+(one ``kind_of`` call per distinct pid over the whole trace), and the
 displaced-rank test from one ``searchsorted`` of (cpu, start) keys against
 the preemption windows.  The analysis engine (:mod:`repro.core.engine`)
 applies this kernel to each block of rows against the retained window
@@ -36,8 +37,8 @@ from repro.core.model import (
     EVENT_CATEGORY,
     NoiseCategory,
     PREEMPT_EVENT,
+    PidKinds,
     TRACER_PREEMPT_EVENT,
-    TraceMeta,
     cpu_time_keys,
 )
 from repro.simkernel.task import TaskKind
@@ -54,11 +55,12 @@ _TRACER = CATEGORY_CODE[NoiseCategory.TRACER]
 
 
 def _classify_inplace(
-    kacts: ActivityTable, preemptions: ActivityTable, meta: TraceMeta
+    kacts: ActivityTable, preemptions: ActivityTable, pid_kinds: PidKinds
 ) -> None:
     """Set category and noise flag on both tables.  ``preemptions`` must
     hold every window that can cover a row of ``kacts`` (the last one
-    starting at or before the row, per CPU)."""
+    starting at or before the row, per CPU); ``pid_kinds`` resolves the
+    context kind of each row's pid."""
     kd = kacts.data
     pd = preemptions.data
 
@@ -76,19 +78,16 @@ def _classify_inplace(
     eligible = (cats != _SERVICE) & (cats != _TRACER)
 
     # Context kind per pid (one meta lookup per distinct pid).
-    uniq, inv = np.unique(kd["pid"], return_inverse=True)
-    kind_by_pid = np.array(
-        [int(meta.kind_of(int(p))) for p in uniq], dtype=np.int8
-    )
-    kinds = kind_by_pid[inv]
+    slots = pid_kinds.slots(kd["pid"].astype(np.int64))
+    kinds = pid_kinds.kind[slots]
     is_rank = kinds == int(TaskKind.RANK)
     is_idle = kinds == int(TaskKind.IDLE)
 
     noise = eligible & is_rank
-    daemon_rows = np.flatnonzero(eligible & ~is_rank & ~is_idle)
-    wsel = np.flatnonzero(
+    daemon_rows = (eligible & ~is_rank & ~is_idle).nonzero()[0]
+    wsel = (
         (pd["event"] == PREEMPT_EVENT) | (pd["event"] == TRACER_PREEMPT_EVENT)
-    )
+    ).nonzero()[0]
     if len(daemon_rows) and len(wsel):
         # Daemon context: noise only if the daemon displaced a runnable
         # rank — then this activity delays that rank too.  The covering
