@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import NoiseAnalysis, TraceMeta
+from repro.stream import StreamingAnalysis
 from repro.util.units import MSEC, SEC
 from repro.workloads import SequoiaWorkload
 
@@ -60,15 +61,54 @@ def amg_trace():
     return trace, TraceMeta.from_node(node)
 
 
+def _per_record_rounds(benchmark, fn, records, rounds):
+    """Time ``fn`` once per round and put its absolute cost in
+    ``extra_info``: the record count, and wall ns per record (min, median,
+    p95 over the rounds) plus the fastest round in ms."""
+    round_ns = []
+
+    def run():
+        t0 = time.perf_counter_ns()
+        result = fn()
+        round_ns.append(time.perf_counter_ns() - t0)
+        return result
+
+    result = benchmark.pedantic(run, rounds=rounds, iterations=1)
+    per_record = sorted(ns / records for ns in round_ns)
+    p95 = per_record[max(0, -(-len(per_record) * 95 // 100) - 1)]
+    benchmark.extra_info.update(
+        records=records,
+        ns_per_record_min=round(per_record[0], 1),
+        ns_per_record_median=round(per_record[len(per_record) // 2], 1),
+        ns_per_record_p95=round(p95, 1),
+        ms_min=round(min(round_ns) / 1e6, 2),
+    )
+    return result
+
+
 def test_perf_analysis(benchmark, amg_trace):
-    """Full reconstruction+classification of ~90k records per round."""
+    """Batch ``NoiseAnalysis`` construction on the 1 s AMG trace: the one
+    engine pass (nesting, preemption, classification) and the canonical
+    reorder of its rows; no query and no object view."""
     trace, meta = amg_trace
+    records = sum(p.n_records for p in trace.packets)
+    analysis = _per_record_rounds(
+        benchmark, lambda: NoiseAnalysis(trace, meta=meta), records, 20
+    )
+    assert len(analysis.table) > 10_000
 
-    def analyze():
-        return len(NoiseAnalysis(trace, meta=meta).activities)
 
-    n = benchmark.pedantic(analyze, rounds=3, iterations=1)
-    assert n > 10_000
+def test_perf_analysis_1ms_windows(benchmark, amg_trace):
+    """The same engine cut into 1 ms blocks: ``StreamingAnalysis``
+    over the AMG trace with ``window_ns`` = 1 ms, where each block's
+    fixed cost dominates."""
+    trace, meta = amg_trace
+    records = sum(p.n_records for p in trace.packets)
+    def stream():
+        return StreamingAnalysis.from_trace(trace, meta=meta, window_ns=MSEC)
+
+    result = _per_record_rounds(benchmark, stream, records, 5)
+    assert result.records_processed == records
 
 
 def test_perf_queries(benchmark, amg_trace):
@@ -253,7 +293,6 @@ def _stream_peak_bytes(n_blocks, window_ns=MSEC):
     from repro import obs
     from repro.core.model import TaskInfo, TraceMeta
     from repro.simkernel.task import TaskKind
-    from repro.stream import StreamingAnalysis
 
     meta = TraceMeta({
         1000: TaskInfo(1000, "rank0", TaskKind.RANK),
