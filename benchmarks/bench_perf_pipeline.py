@@ -111,6 +111,22 @@ def test_perf_analysis_1ms_windows(benchmark, amg_trace):
     assert result.records_processed == records
 
 
+def test_perf_stream_timeline(benchmark, amg_trace):
+    """The default streaming path (one block per packet, no
+    ``window_ns``) with a 1 ms noise timeline: the engine plus sealing
+    1000 timeline bins through the batch kernel."""
+    trace, meta = amg_trace
+    records = sum(p.n_records for p in trace.packets)
+
+    def stream():
+        return StreamingAnalysis.from_trace(trace, meta=meta, quanta=(MSEC,))
+
+    result = _per_record_rounds(benchmark, stream, records, 10)
+    batch = NoiseAnalysis(trace, meta=meta)
+    assert (result.noise_timeline(MSEC).tobytes()
+            == batch.noise_timeline(MSEC).tobytes())
+
+
 def test_perf_queries(benchmark, amg_trace):
     """The two renders every analyzed trace gets — the ``analyze``
     summary and the full report — on a constructed analysis.

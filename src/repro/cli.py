@@ -42,10 +42,7 @@ from repro.core import (
     TraceMeta,
     find_ambiguous_pairs,
 )
-from repro.core.report import (
-    format_interruptions,
-    format_table,
-)
+from repro.core.report import format_table, render_chart
 from repro.tracing.ctf import Trace
 from repro.util.units import fmt_ns, parse_duration
 from repro.workloads import (
@@ -119,7 +116,7 @@ def cmd_record(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from repro.core.report import full_report
+    from repro.core.report import event_stats_json, full_report
 
     analysis = _analysis(args)
     if args.json:
@@ -134,19 +131,9 @@ def cmd_report(args) -> int:
             "breakdown": {
                 c.value: f for c, f in analysis.breakdown_fractions().items()
             },
-            "events": {
-                name: {
-                    "freq_per_cpu_sec": stats.freq,
-                    "avg_ns": stats.avg,
-                    "max_ns": stats.max,
-                    "min_ns": stats.min,
-                    "count": stats.count,
-                    "total_ns": stats.total,
-                }
-                for name, stats in analysis.stats_by_event(
-                    noise_only=not args.all_events
-                ).items()
-            },
+            "events": event_stats_json(
+                analysis, noise_only=not args.all_events
+            ),
         }
         print(json_mod.dumps(payload, indent=2))
         return 0
@@ -238,17 +225,11 @@ def cmd_chart(args) -> int:
     chart = SyntheticNoiseChart(
         analysis, cpu=args.cpu, noise_only=not args.all_events
     )
-    print(f"{len(chart.interruptions)} interruptions"
-          + (f" on cpu{args.cpu}" if args.cpu is not None else ""))
+    window = None
     if args.window:
         t0, t1 = (parse_duration(part) for part in args.window.split(":"))
-        groups = chart.window(analysis.start_ts + t0, analysis.start_ts + t1)
-        print(format_interruptions(groups, limit=args.top,
-                                   t_origin=analysis.start_ts))
-    else:
-        print("largest interruptions:")
-        print(format_interruptions(chart.largest(args.top), limit=args.top,
-                                   t_origin=analysis.start_ts))
+        window = (analysis.start_ts + t0, analysis.start_ts + t1)
+    print(render_chart(chart, args.top, window=window))
     if args.ambiguous:
         pairs = find_ambiguous_pairs(
             chart.interruptions, tolerance_ns=args.ambiguous
@@ -284,19 +265,10 @@ def cmd_export(args) -> int:
         print(f"npz: {args.npz}")
         did = True
     if args.chrome:
-        from repro.core.timeline import TaskTimeline
-        from repro.io import export_chrome_trace
+        from repro.io.chrometrace import analysis_trace_events
+        from repro.obs.export import write_trace_events
 
-        timeline = TaskTimeline(
-            analysis.records, meta=meta, end_ts=analysis.end_ts
-        )
-        n = export_chrome_trace(
-            args.chrome,
-            analysis.table,
-            meta,
-            timeline=timeline,
-            ncpus=analysis.ncpus,
-        )
+        n = write_trace_events(args.chrome, analysis_trace_events(analysis))
         print(f"chrome: {n} events -> {args.chrome} "
               f"(open in chrome://tracing or ui.perfetto.dev)")
         did = True
@@ -359,20 +331,15 @@ def cmd_replay(args) -> int:
 
 
 def cmd_timeline(args) -> int:
-    from repro.core.report import render_ascii_trace
+    from repro.core.report import render_timeline
 
     analysis = _analysis(args)
-    t0 = analysis.start_ts
-    t1 = analysis.end_ts
+    t0 = t1 = None
     if args.window:
         begin, end = (parse_duration(part) for part in args.window.split(":"))
         t0, t1 = analysis.start_ts + begin, analysis.start_ts + end
-    table = analysis.table
-    activities = table.rows(
-        None if args.all_events else table.data["is_noise"]
-    )
-    print(render_ascii_trace(
-        activities, t0, t1, analysis.ncpus, width=args.width
+    print(render_timeline(
+        analysis, args.width, t0, t1, noise_only=not args.all_events
     ))
     return 0
 

@@ -15,7 +15,6 @@ from repro.core.histogram import (
     Histogram,
     duration_histogram,
     spread_ratio,
-    table_histogram,
     tail_index,
 )
 from repro.core.model import (
@@ -73,7 +72,6 @@ __all__ = [
     "Histogram",
     "duration_histogram",
     "spread_ratio",
-    "table_histogram",
     "tail_index",
     "Activity",
     "ActivityTable",

@@ -112,7 +112,71 @@ def marker_rows(records: np.ndarray) -> np.ndarray:
     return out
 
 
-class NoiseAnalysis:
+class DerivedQueries:
+    """The queries both analysis facades derive from their primitives —
+    ``breakdown_ns()``, ``total_noise_ns()``, ``per_cpu_noise_ns()``,
+    ``span_ns`` and ``ncpus`` — shared by :class:`NoiseAnalysis` and
+    :class:`~repro.stream.analysis.StreamingAnalysis`.  Each calls a
+    primitive first, so an unfinished stream raises before any
+    arithmetic."""
+
+    span_ns: int
+    ncpus: int
+
+    def breakdown_ns(self) -> Dict[NoiseCategory, int]:
+        raise NotImplementedError
+
+    def total_noise_ns(self) -> int:
+        raise NotImplementedError
+
+    def per_cpu_noise_ns(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def breakdown_fractions(self) -> Dict[NoiseCategory, float]:
+        totals = self.breakdown_ns()
+        grand = sum(totals.values())
+        if grand == 0:
+            return {c: 0.0 for c in totals}
+        return {c: v / grand for c, v in totals.items()}
+
+    def noise_fraction(self) -> float:
+        """Noise time as a fraction of total CPU time observed.
+
+        Numerator and denominator cover the same universe: noise on the
+        ``ncpus`` CPUs of the trace over ``span_ns`` (activities on CPUs
+        beyond ``ncpus`` are excluded, matching :meth:`per_cpu_noise_ns`).
+        """
+        return self.total_noise_ns() / (self.span_ns * self.ncpus)
+
+    def noise_imbalance(self) -> float:
+        """Max/mean ratio of per-CPU noise: 1.0 = perfectly even.
+
+        The paper's scalability argument is about *variation*: noise that
+        lands unevenly (one CPU taking the interrupts, one rank near the
+        rebalance victim) creates the stragglers collectives wait for.
+        """
+        per_cpu = self.per_cpu_noise_ns().astype(np.float64)
+        mean = per_cpu.mean()
+        if mean <= 0:
+            return 1.0
+        return float(per_cpu.max() / mean)
+
+    def _warn_out_of_range(self, count: int) -> None:
+        """Warn (from the facade's caller) that ``count`` activities sit
+        on CPUs the noise totals exclude."""
+        if not count:
+            return
+        if obs.enabled():
+            obs.counter("analysis.out_of_range_cpu").inc(count)
+        warnings.warn(
+            f"{count} activities reference CPUs >= ncpus={self.ncpus}; "
+            "they are excluded from noise totals",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+class NoiseAnalysis(DerivedQueries):
     """Offline lttng-noise analysis of one recorded execution."""
 
     def __init__(
@@ -171,16 +235,9 @@ class NoiseAnalysis:
         #: Number of records analyzed.
         self.records_processed = engine.records_processed
         self._markers = engine.markers()
-        out_of_range = int((self.table.data["cpu"] >= self.ncpus).sum())
-        if out_of_range:
-            if obs.enabled():
-                obs.counter("analysis.out_of_range_cpu").inc(out_of_range)
-            warnings.warn(
-                f"{out_of_range} activities reference CPUs >= ncpus="
-                f"{self.ncpus}; they are excluded from noise totals",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        self._warn_out_of_range(
+            int((self.table.data["cpu"] >= self.ncpus).sum())
+        )
         self._activities: Optional[List[Activity]] = None
         self._stats_by_event: Dict[bool, Dict[str, DurationStats]] = {}
 
@@ -315,24 +372,8 @@ class NoiseAnalysis:
             totals[CATEGORY_ORDER[code]] = int(acc[code])
         return totals
 
-    def breakdown_fractions(self) -> Dict[NoiseCategory, float]:
-        totals = self.breakdown_ns()
-        grand = sum(totals.values())
-        if grand == 0:
-            return {c: 0.0 for c in totals}
-        return {c: v / grand for c, v in totals.items()}
-
     def total_noise_ns(self) -> int:
         return int(self.table.data["self_ns"][self._noise_mask].sum())
-
-    def noise_fraction(self) -> float:
-        """Noise time as a fraction of total CPU time observed.
-
-        Numerator and denominator cover the same universe: noise on the
-        ``ncpus`` CPUs of the trace over ``span_ns`` (activities on CPUs
-        beyond ``ncpus`` are excluded, matching :meth:`per_cpu_noise_ns`).
-        """
-        return self.total_noise_ns() / (self.span_ns * self.ncpus)
 
     def per_cpu_noise_ns(self) -> np.ndarray:
         """Total noise per CPU — where the jitter actually lands."""
@@ -360,19 +401,6 @@ class NoiseAnalysis:
                 cpu, code = divmod(key, len(CATEGORY_ORDER))
                 out[cpu][CATEGORY_ORDER[code]] = int(acc[cpu, code])
         return out
-
-    def noise_imbalance(self) -> float:
-        """Max/mean ratio of per-CPU noise: 1.0 = perfectly even.
-
-        The paper's scalability argument is about *variation*: noise that
-        lands unevenly (one CPU taking the interrupts, one rank near the
-        rebalance victim) creates the stragglers collectives wait for.
-        """
-        per_cpu = self.per_cpu_noise_ns().astype(np.float64)
-        mean = per_cpu.mean()
-        if mean <= 0:
-            return 1.0
-        return float(per_cpu.max() / mean)
 
     # ------------------------------------------------------------------
     # Timelines (synthetic chart inputs, FTQ comparison)

@@ -103,26 +103,6 @@ def duration_histogram(
     )
 
 
-def table_histogram(
-    table,
-    event=None,
-    noise_only: bool = False,
-    bins: int = 60,
-    cut_pct: float = 99.0,
-    range_ns: Optional[Tuple[int, int]] = None,
-) -> Histogram:
-    """Histogram straight off an :class:`~repro.core.model.ActivityTable`.
-
-    Selects self times column-wise (no per-object iteration): optionally one
-    event id, optionally noise activities only; truncated activities are
-    excluded, matching :meth:`NoiseAnalysis.durations`.
-    """
-    m = table.mask(event=event, noise_only=noise_only, include_truncated=False)
-    return duration_histogram(
-        table.data["self_ns"][m], bins=bins, cut_pct=cut_pct, range_ns=range_ns
-    )
-
-
 def tail_index(durations_ns: Sequence[int]) -> float:
     """A simple long-tail indicator: p99.9 / median.
 

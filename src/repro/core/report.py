@@ -6,7 +6,7 @@ these helpers keep the formatting in one place.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.model import BREAKDOWN_CATEGORIES, NoiseCategory
 from repro.util.stats import DurationStats
@@ -78,6 +78,26 @@ def format_interruptions(
     return "\n".join(lines)
 
 
+def render_chart(
+    chart, top: int, window: Optional[Tuple[int, int]] = None
+) -> str:
+    """The synthetic noise chart as text: the interruption count, then
+    the ``top`` largest interruptions, or at most ``top`` of those that
+    start inside the absolute ``window``.  ``lttng-noise chart`` prints
+    it and the service's ``chart`` render returns it."""
+    scope = "" if chart.cpu is None else f" on cpu{chart.cpu}"
+    lines = [f"{len(chart.interruptions)} interruptions{scope}"]
+    if window is None:
+        lines.append("largest interruptions:")
+        groups = chart.largest(top)
+    else:
+        groups = chart.window(*window)
+    lines.append(format_interruptions(
+        groups, limit=top, t_origin=chart.analysis.start_ts
+    ))
+    return "\n".join(lines)
+
+
 #: One display character per noise category in the ASCII trace view,
 #: matching the paper's colour legend (black ticks, red faults, green
 #: preemptions, blue I/O, orange scheduling).
@@ -145,6 +165,48 @@ def render_ascii_trace(
     legend = "  ".join(f"{c}={name}" for name, c in _CATEGORY_CHAR.items())
     lines.append(f"legend: {legend}  (space = user computation)")
     return "\n".join(lines)
+
+
+def render_timeline(
+    analysis,
+    width: int,
+    t0: Optional[int] = None,
+    t1: Optional[int] = None,
+    noise_only: bool = True,
+) -> str:
+    """:func:`render_ascii_trace` of the analysis's noise rows (every row
+    with ``noise_only=False``) over ``[t0, t1)``, by default the whole
+    span.  ``lttng-noise timeline`` prints it and the service's
+    ``timeline`` render returns it."""
+    table = analysis.table
+    return render_ascii_trace(
+        table.rows(table.data["is_noise"] if noise_only else None),
+        analysis.start_ts if t0 is None else t0,
+        analysis.end_ts if t1 is None else t1,
+        analysis.ncpus,
+        width=width,
+    )
+
+
+def event_stats_json(
+    analysis, noise_only: bool = True
+) -> Dict[str, Dict[str, float]]:
+    """The ``events`` object of ``lttng-noise report --json`` and of the
+    service's analysis result: one row of :meth:`stats_by_event` per
+    display name."""
+    return {
+        name: {
+            "freq_per_cpu_sec": stats.freq,
+            "avg_ns": stats.avg,
+            "max_ns": stats.max,
+            "min_ns": stats.min,
+            "count": stats.count,
+            "total_ns": stats.total,
+        }
+        for name, stats in analysis.stats_by_event(
+            noise_only=noise_only
+        ).items()
+    }
 
 
 def render_analysis_summary(analysis, quanta=(), all_events=False) -> str:

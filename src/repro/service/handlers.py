@@ -304,43 +304,22 @@ class ServiceApp:
             return Response.text(full_report(analysis, meta=meta) + "\n")
         if kind == "chart":
             from repro.core import SyntheticNoiseChart
-            from repro.core.report import format_interruptions
+            from repro.core.report import render_chart
 
             top = _int_query(request, "top", 20)
             chart = SyntheticNoiseChart(analysis)
-            body = (
-                f"{len(chart.interruptions)} interruptions\n"
-                "largest interruptions:\n"
-                + format_interruptions(
-                    chart.largest(top), limit=top,
-                    t_origin=analysis.start_ts,
-                )
-            )
-            return Response.text(body + "\n")
+            return Response.text(render_chart(chart, top) + "\n")
         if kind == "timeline":
-            from repro.core.report import render_ascii_trace
+            from repro.core.report import render_timeline
 
             width = _int_query(request, "width", 100)
-            table = analysis.table
-            activities = table.rows(table.data["is_noise"])
-            body = render_ascii_trace(
-                activities, analysis.start_ts, analysis.end_ts,
-                analysis.ncpus, width=width,
-            )
-            return Response.text(body + "\n")
+            return Response.text(render_timeline(analysis, width) + "\n")
         # kind == "chrome"
-        from repro.core.timeline import TaskTimeline
-        from repro.io.chrometrace import trace_events
+        from repro.io.chrometrace import analysis_trace_events
         from repro.obs.export import trace_event_json
 
-        timeline = TaskTimeline(
-            analysis.records, meta=meta, end_ts=analysis.end_ts
-        )
-        events = trace_events(
-            analysis.table, meta, timeline=timeline, ncpus=analysis.ncpus
-        )
         return Response(
-            200, trace_event_json(events).encode(),
+            200, trace_event_json(analysis_trace_events(analysis)).encode(),
             content_type="application/json",
             headers={
                 "Content-Disposition":

@@ -62,7 +62,7 @@ def analysis_payload(analysis: Any) -> Dict[str, Any]:
     formatter the ``lttng-noise analyze`` CLI prints — service responses
     are bit-identical to the batch CLI by construction.
     """
-    from repro.core.report import render_analysis_summary
+    from repro.core.report import event_stats_json, render_analysis_summary
 
     return {
         "span_ns": analysis.span_ns,
@@ -76,19 +76,7 @@ def analysis_payload(analysis: Any) -> Dict[str, Any]:
         "per_cpu_noise_ns": [
             int(v) for v in analysis.per_cpu_noise_ns()
         ],
-        "events": {
-            name: {
-                "freq_per_cpu_sec": stats.freq,
-                "avg_ns": stats.avg,
-                "max_ns": stats.max,
-                "min_ns": stats.min,
-                "count": stats.count,
-                "total_ns": stats.total,
-            }
-            for name, stats in analysis.stats_by_event(
-                noise_only=True
-            ).items()
-        },
+        "events": event_stats_json(analysis),
         "analyze_text": render_analysis_summary(analysis),
     }
 

@@ -15,8 +15,10 @@ same answers incrementally, packet by packet:
   classification) on each, carrying only open state across block
   boundaries and emitting every activity row once it is final;
 * :class:`WindowMerger` — folds the row blocks into exact integer
-  aggregates, per-quantum timeline bins sealed once no in-flight activity
-  can still touch them, and per-window :class:`ActivityTable` chunks;
+  aggregates, per-quantum timeline bins, and per-window
+  :class:`ActivityTable` chunks.  A bin is sealed once no in-flight
+  activity can still touch it, by the batch timeline kernel over the held
+  noise rows in canonical order;
 * :class:`StreamingAnalysis` — the facade mirroring ``NoiseAnalysis``'s
   query surface (stats, breakdown, noise fraction, timelines) with results
   bit-identical to batch analysis of the same trace (``std`` excepted: it

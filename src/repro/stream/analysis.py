@@ -22,13 +22,12 @@ only buffered; feed an on-disk CPU-major file through
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.core.analysis import _resolve_event, marker_rows
+from repro.core.analysis import DerivedQueries, _resolve_event, marker_rows
 from repro.core.engine import StreamEngine
 from repro.core.model import ActivityTable, NoiseCategory, TraceMeta
 from repro.stream.decoder import StreamDecoder, iter_packets_chronological
@@ -48,7 +47,7 @@ def _peak_rss_kb() -> Optional[int]:
     return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
 
 
-class StreamingAnalysis:
+class StreamingAnalysis(DerivedQueries):
     """Incremental lttng-noise analysis of a trace being produced."""
 
     def __init__(
@@ -137,13 +136,7 @@ class StreamingAnalysis:
         self.span_ns = max(1, self.end_ts - self.start_ts)
         self._engine.finish(self.end_ts)
         self._merger.finish(self.end_ts)
-        if self._merger.out_of_range:
-            warnings.warn(
-                f"{self._merger.out_of_range} activities reference CPUs >= "
-                f"ncpus={self.ncpus}; they are excluded from noise totals",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        self._warn_out_of_range(self._merger.out_of_range)
         self._obs_flush()
         return self
 
@@ -295,7 +288,9 @@ class StreamingAnalysis:
             obs.gauge("stream.peak_rss_kb").set(peak)
 
     # ------------------------------------------------------------------
-    # Query surface (mirrors NoiseAnalysis; results are bit-identical)
+    # Query surface (mirrors NoiseAnalysis; results are bit-identical).
+    # breakdown_fractions, noise_fraction and noise_imbalance come from
+    # DerivedQueries, built on the primitives below.
     # ------------------------------------------------------------------
     def _require_finished(self) -> None:
         if not self._finished:
@@ -328,22 +323,9 @@ class StreamingAnalysis:
         self._require_finished()
         return self._merger.breakdown_ns()
 
-    def breakdown_fractions(self) -> Dict[NoiseCategory, float]:
-        self._require_finished()
-        totals = self._merger.breakdown_ns()
-        grand = sum(totals.values())
-        if grand == 0:
-            return {c: 0.0 for c in totals}
-        return {c: v / grand for c, v in totals.items()}
-
     def total_noise_ns(self) -> int:
         self._require_finished()
         return self._merger.total_noise_ns
-
-    def noise_fraction(self) -> float:
-        """Noise time as a fraction of total CPU time observed."""
-        self._require_finished()
-        return self._merger.total_noise_ns / (self.span_ns * self.ncpus)
 
     def per_cpu_noise_ns(self) -> np.ndarray:
         self._require_finished()
@@ -352,15 +334,6 @@ class StreamingAnalysis:
     def per_cpu_breakdown(self) -> Dict[int, Dict[NoiseCategory, int]]:
         self._require_finished()
         return self._merger.per_cpu_breakdown()
-
-    def noise_imbalance(self) -> float:
-        """Max/mean ratio of per-CPU noise: 1.0 = perfectly even."""
-        self._require_finished()
-        per_cpu = self._merger.per_cpu_noise_ns().astype(np.float64)
-        mean = per_cpu.mean()
-        if mean <= 0:
-            return 1.0
-        return float(per_cpu.max() / mean)
 
     def markers(self) -> np.ndarray:
         """Workload marker point events as ``(time, pid, arg)`` rows."""

@@ -17,10 +17,12 @@ exactly:
   plain int64-exact sums over the same ``is_noise & cpu < ncpus`` mask the
   batch queries use;
 * **timeline bins**: one :class:`_TimelineBinner` per configured quantum
-  adds each noise row's contribution in canonical table order (rows are
-  re-sorted per bin), and seals a bin only when no in-flight or future
-  activity can still overlap it — the float accumulation order inside a
-  bin is then exactly the batch ``np.add.at`` order;
+  holds the noise rows that can still reach an unsealed bin and seals a
+  bin only when no in-flight or future activity can still overlap it.
+  Each seal runs the batch kernel
+  (:func:`~repro.core.analysis.binned_noise_ns`) over the held rows in
+  canonical table order, so the float accumulation order inside a bin is
+  exactly the batch ``np.add.at`` order;
 * **window chunks**: per-window :class:`ActivityTable` slices in canonical
   row order, emitted once the window is sealed.  Concatenating all chunks
   reproduces the batch table row for row.
@@ -35,6 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.core.analysis import binned_noise_ns
 from repro.core.engine import canonical_order, is_window
 from repro.core.model import (
     ACTIVITY_DTYPE,
@@ -112,14 +115,15 @@ class _TimelineBinner:
 
     A bin can be sealed once every activity overlapping it has been
     emitted — i.e. when the engine's pending floor has passed the bin end.
-    At seal time the bin's contributions are accumulated in canonical
-    table order (the active rows are kept sorted by the canonical row
-    key), reproducing the batch activity-major ``np.add.at`` float
-    accumulation bit for bit.  Contributions of zero are skipped: adding
-    ``+0.0`` to a non-negative float sum is a bitwise no-op.
+    The binner holds the noise rows that can still reach an unsealed bin,
+    with their tie-break numbers.  A seal puts them in canonical table
+    order and runs the batch kernel
+    (:func:`~repro.core.analysis.binned_noise_ns`) once over every bin it
+    seals, so each bin accumulates the same rows in the same order as the
+    batch timeline, bit for bit.
     """
 
-    __slots__ = ("quantum_ns", "t0", "t1", "values", "_active", "_next")
+    __slots__ = ("quantum_ns", "t0", "t1", "_parts", "_next", "_rows", "_seq")
 
     def __init__(
         self, quantum_ns: int, t0: int, t1: Optional[int] = None
@@ -129,63 +133,51 @@ class _TimelineBinner:
         self.quantum_ns = quantum_ns
         self.t0 = t0
         self.t1 = t1
-        self.values: List[float] = []
-        # (start, cpu, depth, kind, seq, end, density): canonical-key
-        # prefix first, so tuple order IS table order.
-        self._active: List[Tuple[int, int, int, int, int, int, float]] = []
-        self._next = 0
+        self._parts: List[np.ndarray] = []  # sealed bin values, in order
+        self._next = 0  # bins sealed so far
+        self._rows = np.zeros(0, dtype=ACTIVITY_DTYPE)
+        self._seq = np.zeros(0, dtype=np.int64)
 
-    def add(self, entries: List[tuple]) -> None:
-        """Register noise rows (caller filters ``is_noise``) as
-        ``(start, cpu, depth, kind, seq, end, density)`` tuples."""
-        floor = self.t0 + self._next * self.quantum_ns
+    def add(self, rows: np.ndarray, seq: np.ndarray) -> None:
+        """Hold noise rows (caller filters ``is_noise``) and their
+        tie-break numbers."""
         # Rows ending at or before the floor touch only sealed bins.
-        fresh = [entry for entry in entries if entry[5] > floor]
-        if fresh:
-            self._active.extend(fresh)
-            self._active.sort()
+        fresh = rows["end"] > self.t0 + self._next * self.quantum_ns
+        self._rows = concat_rows([self._rows, take_rows(rows, fresh)])
+        self._seq = np.concatenate([self._seq, seq[fresh]])
 
     def _n_bins(self) -> int:
         return max(1, -(-(self.t1 - self.t0) // self.quantum_ns))
 
     def seal_to(self, floor: int) -> None:
         """Seal every bin whose end the pending floor has passed."""
-        while self.t0 + (self._next + 1) * self.quantum_ns <= floor:
-            if self.t1 is not None and self._next >= self._n_bins():
-                break
-            self._seal_one()
-
-    def _seal_one(self) -> None:
-        qb = self.t0 + self._next * self.quantum_ns
-        qe = qb + self.quantum_ns
-        v = 0.0
-        for entry in self._active:
-            start = entry[0]
-            if start >= qe:
-                break
-            if self.t1 is not None and start >= self.t1:
-                continue  # batch masks rows starting at/after t1
-            end = entry[5]
-            ov = (end if end < qe else qe) - (start if start > qb else qb)
-            if ov > 0:
-                v += ov * entry[6]
-        self.values.append(v)
-        self._next += 1
-        if self._active:
-            self._active = [e for e in self._active if e[5] > qe]
+        n = (floor - self.t0) // self.quantum_ns
+        if self.t1 is not None:
+            n = min(n, self._n_bins())
+        if n <= self._next:
+            return
+        begin = self.t0 + self._next * self.quantum_ns
+        end = self.t0 + n * self.quantum_ns
+        order = canonical_order(self._rows, self._seq)
+        rows = take_rows(self._rows, order)
+        self._parts.append(binned_noise_ns(
+            ActivityTable(rows), self.quantum_ns, begin,
+            end if self.t1 is None else min(end, self.t1),
+        ))
+        self._next = n
+        keep = rows["end"] > end
+        self._rows = take_rows(rows, keep)
+        self._seq = self._seq[order][keep]
 
     def finish(self, t1: int) -> None:
         if self.t1 is None:
             self.t1 = t1
-        n = self._n_bins()
-        while self._next < n:
-            self._seal_one()
-        del self._active[:]
-        if len(self.values) > n:
-            del self.values[n:]
+        self.seal_to(self.t0 + self._n_bins() * self.quantum_ns)
+        self._rows, self._seq = self._rows[:0], self._seq[:0]
 
     def result(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.float64)
+        # A live stream may have sealed bins past the end finish() set.
+        return np.concatenate(self._parts)[: self._n_bins()]
 
 
 def _fold_moments(
@@ -314,15 +306,9 @@ class WindowMerger:
         if self._binners and noise.any():
             # The timeline has no cpu/truncated mask: every noise row
             # contributes, batch-identically.
-            nd = take_rows(d, noise)
-            density = nd["self_ns"] / np.maximum(nd["total_ns"], 1)
-            entries = list(zip(
-                nd["start"].tolist(), nd["cpu"].tolist(),
-                nd["depth"].tolist(), window[noise].tolist(),
-                seq[noise].tolist(), nd["end"].tolist(), density.tolist(),
-            ))
+            rows, row_seq = take_rows(d, noise), seq[noise]
             for binner in self._binners.values():
-                binner.add(entries)
+                binner.add(rows, row_seq)
 
         if self.window_ns is not None:
             self._chunk_rows = concat_rows([self._chunk_rows, d])

@@ -283,6 +283,24 @@ class TestBatchParity:
             client.wait(job["id"])
             assert client.render(job["id"], "chart", top=25) == cli
 
+    def test_render_timeline_is_the_cli_timeline_stdout(self, server,
+                                                        tmp_path, capsys):
+        """The service's timeline render with ``width=60`` equals
+        ``lttng-noise timeline --width 60`` stdout, byte for byte."""
+        from repro.cli import main
+
+        base = str(tmp_path / "ftq")
+        assert main(["record", "FTQ", "--duration", "50ms", "--seed", "3",
+                     "--ncpus", "2", "-o", base]) == 0
+        capsys.readouterr()
+        assert main(["timeline", base + ".lttnz", "--width", "60"]) == 0
+        cli = capsys.readouterr().out
+        assert cli.startswith("cpu0: |") and "cpu1: |" in cli
+        with server.client() as client:
+            job = client.submit(spec(seed=3))["job"]
+            client.wait(job["id"])
+            assert client.render(job["id"], "timeline", width=60) == cli
+
     def test_render_chrome_is_the_cli_export_file(self, server, tmp_path,
                                                   capsys):
         """The service's chrome render body equals the file

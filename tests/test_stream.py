@@ -15,7 +15,9 @@ windows cut blocks exactly where carried state matters, a hypothesis
 grammar over random legal record streams with random packetization (also
 run in live mode, with the trace end given only to ``finish``), full
 simulator runs, the chunked byte decoder, and the analyze-while-
-simulating execution path.
+simulating execution path.  Every differential also runs the default
+window-less stream (one block per packet) and compares its aggregates and
+timeline bytes.
 """
 
 import warnings
@@ -64,7 +66,8 @@ def live_stream(trace, m, quanta, window_ns):
     """Live mode: no end_ts up front; the trace end arrives with finish()."""
     sa = StreamingAnalysis(
         ncpus=trace.ncpus, start_ts=trace.start_ts, meta=m,
-        window_ns=window_ns, quanta=quanta, collect_table=True,
+        window_ns=window_ns, quanta=quanta,
+        collect_table=window_ns is not None,
     )
     for packet in sorted(trace.packets, key=lambda p: p.begin_ts):
         sa.feed_packet(packet)
@@ -77,30 +80,15 @@ def assert_tables_equal(bt, srt):
         np.testing.assert_array_equal(bt[name], srt[name], err_msg=name)
 
 
-def assert_equivalent(trace, m, quanta=(25,), span_ns=None, window_ns=50,
-                      live=False):
-    """Full differential: batch vs streaming on every query surface;
-    ``live`` also runs live mode and checks its table and timelines."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        batch = NoiseAnalysis(trace, meta=m, span_ns=span_ns)
-        stream = StreamingAnalysis.from_trace(
-            trace, meta=m, span_ns=span_ns, window_ns=window_ns,
-            quanta=quanta, collect_table=True,
-        )
-        if live:
-            assert span_ns is None
-            online = live_stream(trace, m, quanta, window_ns)
+def assert_timelines_equal(batch, stream, quanta):
+    for quantum in quanta:
+        assert (batch.noise_timeline(quantum).tobytes()
+                == stream.noise_timeline(quantum).tobytes()), quantum
 
-    assert_tables_equal(batch.table.data, stream.table().data)
-    if live:
-        assert_tables_equal(batch.table.data, online.table().data)
-        assert batch.total_noise_ns() == online.total_noise_ns()
-        for quantum in quanta:
-            np.testing.assert_array_equal(
-                batch.noise_timeline(quantum), online.noise_timeline(quantum)
-            )
 
+def assert_aggregates_equal(batch, stream, quanta):
+    """Every query but the table: totals, breakdowns, markers, timeline
+    bytes and per-event stats."""
     assert batch.breakdown_ns() == stream.breakdown_ns()
     assert batch.breakdown_fractions() == stream.breakdown_fractions()
     assert batch.total_noise_ns() == stream.total_noise_ns()
@@ -111,10 +99,7 @@ def assert_equivalent(trace, m, quanta=(25,), span_ns=None, window_ns=50,
         batch.per_cpu_noise_ns(), stream.per_cpu_noise_ns()
     )
     np.testing.assert_array_equal(batch.markers(), stream.markers())
-    for quantum in quanta:
-        np.testing.assert_array_equal(
-            batch.noise_timeline(quantum), stream.noise_timeline(quantum)
-        )
+    assert_timelines_equal(batch, stream, quanta)
     for noise_only in (False, True):
         sb = batch.stats_by_event(noise_only=noise_only)
         ss = stream.stats_by_event(noise_only=noise_only)
@@ -125,6 +110,43 @@ def assert_equivalent(trace, m, quanta=(25,), span_ns=None, window_ns=50,
                     key, field, sb[key], ss[key],
                 )
             assert np.isclose(sb[key].std, ss[key].std)
+
+
+def assert_equivalent(trace, m, quanta=(25,), span_ns=None, window_ns=50,
+                      live=False):
+    """Full differential: batch vs streaming on every query surface.
+
+    The default window-less stream (``window_ns=None``, one block per
+    packet) is always checked too; it keeps no table, so its aggregates
+    and timelines are compared.  ``live`` also runs live mode and checks
+    its table (when windowed) and timelines.  Returns the batch analysis
+    and the windowed stream (the window-less one without ``window_ns``).
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = NoiseAnalysis(trace, meta=m, span_ns=span_ns)
+        streams = [StreamingAnalysis.from_trace(
+            trace, meta=m, span_ns=span_ns, quanta=quanta,
+        )]
+        if window_ns is not None:
+            streams.append(StreamingAnalysis.from_trace(
+                trace, meta=m, span_ns=span_ns, window_ns=window_ns,
+                quanta=quanta, collect_table=True,
+            ))
+        if live:
+            assert span_ns is None
+            online = live_stream(trace, m, quanta, window_ns)
+
+    stream = streams[-1]
+    if window_ns is not None:
+        assert_tables_equal(batch.table.data, stream.table().data)
+    if live:
+        if window_ns is not None:
+            assert_tables_equal(batch.table.data, online.table().data)
+        assert batch.total_noise_ns() == online.total_noise_ns()
+        assert_timelines_equal(batch, online, quanta)
+    for each in streams:
+        assert_aggregates_equal(batch, each, quanta)
     return batch, stream
 
 
@@ -256,9 +278,17 @@ def test_span_overrides_match():
     b.switch(30, RANK, DAEMON, cpu=0)
     b.entry(35, Ev.SOFTIRQ_TIMER, cpu=0, pid=DAEMON)
     rec = b.build()
-    packets = [Packet(0, len(rec), 0, 2, 35, rec.tobytes())]
+    # cpu1's interrupt starts at t1 for span 33, inside that span's last
+    # (partial) bin: the timeline must leave it out, as batch does.
+    b1 = RecordBuilder()
+    b1.state(2, RANK2, TaskState.RUNNING, cpu=1)
+    b1.switch(2, IDLE, RANK2, cpu=1)
+    b1.activity(33, 34, Ev.IRQ_TIMER, cpu=1, pid=RANK2)
+    rec1 = b1.build()
+    packets = [Packet(0, len(rec), 0, 2, 35, rec.tobytes()),
+               Packet(1, len(rec1), 0, 2, 34, rec1.tobytes())]
     for span in (20, 33):
-        trace = Trace(ncpus=1, start_ts=0, end_ts=100, packets=packets)
+        trace = Trace(ncpus=2, start_ts=0, end_ts=100, packets=packets)
         assert_equivalent(trace, meta(), quanta=(10,), span_ns=span,
                           window_ns=15)
 
@@ -393,9 +423,11 @@ def test_feed_after_finish_raises():
 
 
 def test_queries_before_finish_raise():
-    sa = StreamingAnalysis(ncpus=1, start_ts=0, end_ts=10, meta=meta())
-    with pytest.raises(RuntimeError):
-        sa.total_noise_ns()
+    sa = StreamingAnalysis(ncpus=1, start_ts=0, meta=meta())
+    for query in (sa.total_noise_ns, sa.breakdown_fractions,
+                  sa.noise_fraction, sa.noise_imbalance):
+        with pytest.raises(RuntimeError):
+            query()
 
 
 def test_unconfigured_timeline_quantum_raises():
@@ -506,7 +538,7 @@ def record_streams(draw):
 
 @given(
     stream=record_streams(),
-    window_ns=st.sampled_from([16, 40, 64, 1000]),
+    window_ns=st.sampled_from([None, 16, 40, 64, 1000]),
     quantum=st.sampled_from([7, 25, 64]),
     # Wall-clock epoch timestamps lie past 2**53 ns, where float64 is
     # inexact.
