@@ -444,10 +444,3 @@ def dotted_name(node: ast.AST) -> str:
 def call_name(node: ast.Call) -> str:
     """Dotted name of a call's callee (empty for computed callees)."""
     return dotted_name(node.func)
-
-
-def iter_loops(tree: ast.AST) -> Iterator[ast.AST]:
-    """Every for/while/async-for statement in the tree."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            yield node

@@ -408,7 +408,7 @@ def _write_sweep_summary(path, name, duration, seeds, args, sweep,
         "seeds": len(seeds),
         "ncpus": args.ncpus,
     }
-    summary.update(sweep.exec_stats or {})
+    summary.update(sweep.exec_stats)
     if plan is not None:
         summary["plan"] = {
             "dir": args.plan,
@@ -511,8 +511,7 @@ def cmd_sweep(args) -> int:
             print("\ninterrupted (no --plan: progress beyond the result "
                   "cache is lost)", file=sys.stderr)
         return 130
-    if sweep.exec_summary:
-        print(sweep.exec_summary, file=sys.stderr)
+    print(sweep.exec_summary, file=sys.stderr)
     events = [e for e in (args.events or "").split(",") if e.strip()]
     print(f"{name}: {len(seeds)} seeds x {fmt_ns(duration)} "
           f"on {args.ncpus} cpus")

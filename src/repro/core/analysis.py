@@ -17,12 +17,13 @@ is computed from that columnar :class:`ActivityTable` (``analysis.table``)
 with masked numpy reductions; ``analysis.activities`` is the lazily
 materialized object view for list-shaped consumers.
 
-Noise totals (:meth:`NoiseAnalysis.total_noise_ns`,
-:meth:`~NoiseAnalysis.breakdown_ns`, :meth:`~NoiseAnalysis.noise_fraction`,
-:meth:`~NoiseAnalysis.per_cpu_noise_ns`) all agree on the CPU universe:
-activities referencing ``cpu >= ncpus`` are excluded everywhere (with a
-``RuntimeWarning`` at construction), so the noise fraction's numerator sums
-exactly the CPUs its ``span_ns * ncpus`` denominator covers.
+Noise totals (``total_noise_ns``, ``breakdown_ns``, ``noise_fraction``,
+``per_cpu_noise_ns``, ...) are all read from one :class:`NoiseTotals` fold,
+so they agree on the CPU universe: activities referencing ``cpu >= ncpus``
+are excluded everywhere (with a ``RuntimeWarning`` at construction), and
+the noise fraction's numerator sums exactly the CPUs its
+``span_ns * ncpus`` denominator covers.  Streaming analysis folds the same
+:class:`NoiseTotals` block by block.
 """
 
 from __future__ import annotations
@@ -112,25 +113,80 @@ def marker_rows(records: np.ndarray) -> np.ndarray:
     return out
 
 
+class NoiseTotals:
+    """Exact noise nanoseconds per ``(cpu, category)``, the one fold
+    behind every noise total.
+
+    Noise rows on a CPU below ``ncpus`` add their self time to ``ns``
+    (int64, so the totals do not depend on fold order) and mark ``seen``
+    (a pair that had a noise row keeps its key even with a zero total);
+    rows on other CPUs only count in ``out_of_range``.
+    """
+
+    __slots__ = ("ns", "seen", "out_of_range")
+
+    def __init__(self, ncpus: int) -> None:
+        self.ns = np.zeros((ncpus, len(CATEGORY_ORDER)), dtype=np.int64)
+        self.seen = np.zeros(self.ns.shape, dtype=bool)
+        self.out_of_range = 0
+
+    def add(self, rows: np.ndarray) -> None:
+        """Fold activity rows (``ACTIVITY_DTYPE``) into the totals."""
+        inside = rows["cpu"] < len(self.ns)
+        self.out_of_range += len(rows) - int(inside.sum())
+        m = rows["is_noise"] & inside
+        if m.any():
+            # One flat (cpu, category) key: half the cost of a 2-D index.
+            key = rows["cpu"][m] * self.ns.shape[1] + rows["category"][m]
+            np.add.at(self.ns.reshape(-1), key, rows["self_ns"][m])
+            self.seen.reshape(-1)[key] = True
+
+
 class DerivedQueries:
-    """The queries both analysis facades derive from their primitives —
-    ``breakdown_ns()``, ``total_noise_ns()``, ``per_cpu_noise_ns()``,
-    ``span_ns`` and ``ncpus`` — shared by :class:`NoiseAnalysis` and
-    :class:`~repro.stream.analysis.StreamingAnalysis`.  Each calls a
-    primitive first, so an unfinished stream raises before any
-    arithmetic."""
+    """The queries both analysis facades answer from their
+    :class:`NoiseTotals` (the ``_noise_totals()`` hook), ``span_ns`` and
+    ``ncpus`` — shared by :class:`NoiseAnalysis` and
+    :class:`~repro.stream.analysis.StreamingAnalysis`.  Each reads the
+    hook first, so an unfinished stream raises before any arithmetic.
+
+    Keys come out in one order on both sides: the breakdown categories
+    first, then any other category present, by ascending code.
+    """
 
     span_ns: int
     ncpus: int
 
-    def breakdown_ns(self) -> Dict[NoiseCategory, int]:
+    def _noise_totals(self) -> NoiseTotals:
+        """The facade's folded totals (a stream raises until finished)."""
         raise NotImplementedError
+
+    def breakdown_ns(self) -> Dict[NoiseCategory, int]:
+        """Total noise self-time per category (truncated included)."""
+        totals = self._noise_totals()
+        per_cat = totals.ns.sum(axis=0)
+        out = {c: int(per_cat[CATEGORY_CODE[c]]) for c in BREAKDOWN_CATEGORIES}
+        for code in totals.seen.any(axis=0).nonzero()[0].tolist():
+            out[CATEGORY_ORDER[code]] = int(per_cat[code])
+        return out
 
     def total_noise_ns(self) -> int:
-        raise NotImplementedError
+        return int(self._noise_totals().ns.sum())
 
     def per_cpu_noise_ns(self) -> np.ndarray:
-        raise NotImplementedError
+        """Total noise per CPU — where the jitter actually lands."""
+        return self._noise_totals().ns.sum(axis=1)
+
+    def per_cpu_breakdown(self) -> Dict[int, Dict[NoiseCategory, int]]:
+        """Per-CPU category totals (noise only)."""
+        totals = self._noise_totals()
+        out: Dict[int, Dict[NoiseCategory, int]] = {
+            cpu: {c: 0 for c in BREAKDOWN_CATEGORIES}
+            for cpu in range(self.ncpus)
+        }
+        cpus, codes = totals.seen.nonzero()
+        for cpu, code in zip(cpus.tolist(), codes.tolist()):
+            out[cpu][CATEGORY_ORDER[code]] = int(totals.ns[cpu, code])
+        return out
 
     def breakdown_fractions(self) -> Dict[NoiseCategory, float]:
         totals = self.breakdown_ns()
@@ -161,9 +217,10 @@ class DerivedQueries:
             return 1.0
         return float(per_cpu.max() / mean)
 
-    def _warn_out_of_range(self, count: int) -> None:
-        """Warn (from the facade's caller) that ``count`` activities sit
+    def _warn_out_of_range(self) -> None:
+        """Warn (from the facade's caller) about the activities that sit
         on CPUs the noise totals exclude."""
+        count = self._noise_totals().out_of_range
         if not count:
             return
         if obs.enabled():
@@ -235,11 +292,14 @@ class NoiseAnalysis(DerivedQueries):
         #: Number of records analyzed.
         self.records_processed = engine.records_processed
         self._markers = engine.markers()
-        self._warn_out_of_range(
-            int((self.table.data["cpu"] >= self.ncpus).sum())
-        )
+        self._totals = NoiseTotals(self.ncpus)
+        self._totals.add(self.table.data)
+        self._warn_out_of_range()
         self._activities: Optional[List[Activity]] = None
         self._stats_by_event: Dict[bool, Dict[str, DurationStats]] = {}
+
+    def _noise_totals(self) -> NoiseTotals:
+        return self._totals
 
     @cached_property
     def records(self) -> np.ndarray:
@@ -256,13 +316,6 @@ class NoiseAnalysis(DerivedQueries):
         if self._activities is None:
             self._activities = self.table.rows()
         return self._activities
-
-    @cached_property
-    def _noise_mask(self) -> np.ndarray:
-        """Noise rows on CPUs the analysis covers (``cpu < ncpus``);
-        computed once, as the analysis does not change."""
-        d = self.table.data
-        return d["is_noise"] & (d["cpu"] < self.ncpus)
 
     # ------------------------------------------------------------------
     # Selection
@@ -346,61 +399,6 @@ class NoiseAnalysis(DerivedQueries):
             name: describe_durations(values, self.span_ns, cpus=self.ncpus)
             for name, values in zip(names, chunks)
         }
-
-    # ------------------------------------------------------------------
-    # Breakdown (Figure 3)
-    # ------------------------------------------------------------------
-    def breakdown_ns(self) -> Dict[NoiseCategory, int]:
-        """Total noise self-time per category (truncated included).
-
-        Computed once; each call returns a fresh dict."""
-        return dict(self._breakdown)
-
-    @cached_property
-    def _breakdown(self) -> Dict[NoiseCategory, int]:
-        d = self.table.data
-        m = self._noise_mask
-        codes = d["category"][m]
-        acc = np.zeros(len(CATEGORY_ORDER), dtype=np.int64)
-        np.add.at(acc, codes, d["self_ns"][m])
-        totals: Dict[NoiseCategory, int] = {
-            c: int(acc[CATEGORY_CODE[c]]) for c in BREAKDOWN_CATEGORIES
-        }
-        # Non-breakdown categories appear as keys when present, even with a
-        # zero total, matching the object path.
-        for code in np.unique(codes).tolist():
-            totals[CATEGORY_ORDER[code]] = int(acc[code])
-        return totals
-
-    def total_noise_ns(self) -> int:
-        return int(self.table.data["self_ns"][self._noise_mask].sum())
-
-    def per_cpu_noise_ns(self) -> np.ndarray:
-        """Total noise per CPU — where the jitter actually lands."""
-        d = self.table.data
-        m = self._noise_mask
-        out = np.zeros(self.ncpus, dtype=np.int64)
-        np.add.at(out, d["cpu"][m], d["self_ns"][m])
-        return out
-
-    def per_cpu_breakdown(self) -> "Dict[int, Dict[NoiseCategory, int]]":
-        """Per-CPU category totals (noise only)."""
-        d = self.table.data
-        m = self._noise_mask
-        cpus = d["cpu"][m]
-        codes = d["category"][m]
-        acc = np.zeros((self.ncpus, len(CATEGORY_ORDER)), dtype=np.int64)
-        np.add.at(acc, (cpus, codes), d["self_ns"][m])
-        out: Dict[int, Dict[NoiseCategory, int]] = {
-            cpu: {c: 0 for c in BREAKDOWN_CATEGORIES}
-            for cpu in range(self.ncpus)
-        }
-        if len(cpus):
-            pair = cpus.astype(np.int64) * len(CATEGORY_ORDER) + codes
-            for key in np.unique(pair).tolist():
-                cpu, code = divmod(key, len(CATEGORY_ORDER))
-                out[cpu][CATEGORY_ORDER[code]] = int(acc[cpu, code])
-        return out
 
     # ------------------------------------------------------------------
     # Timelines (synthetic chart inputs, FTQ comparison)

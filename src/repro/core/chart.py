@@ -132,10 +132,3 @@ class SyntheticNoiseChart:
 
     def total_noise_ns(self) -> int:
         return sum(g.noise_ns for g in self.interruptions)
-
-    def describe_window(self, t0: int, t1: int) -> str:
-        """Text rendering of a zoomed window (Fig. 1d / Fig. 10 style)."""
-        lines = []
-        for g in self.window(t0, t1):
-            lines.append(g.describe())
-        return "\n".join(lines)

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.core.analysis import NoiseAnalysis
-from repro.core.model import NoiseCategory, TraceMeta
+from repro.core.model import NoiseCategory
 
 
 @dataclass(frozen=True)
@@ -68,13 +67,12 @@ class SeedSweep:
     """Analyses of the same workload under different seeds."""
 
     #: One-line execution report (runs, cache hits, wall time) set by
-    #: :meth:`run` when the specs went through a :class:`repro.exec.SweepPlan`;
-    #: None when the in-process factory path ran.
-    exec_summary: Optional[str] = None
+    #: :meth:`run`.
+    exec_summary: str
     #: Machine-readable version of :attr:`exec_summary` (``--summary-json``):
     #: the plan's stats record plus ``failures`` and, with a store, this
     #: sweep's ``cache_hits``/``cache_misses``.
-    exec_stats: Optional[dict] = None
+    exec_stats: dict
 
     def __init__(self, analyses: List[NoiseAnalysis]) -> None:
         if not analyses:
@@ -83,7 +81,7 @@ class SeedSweep:
 
     @staticmethod
     def run(
-        workload_factory: Union[str, Callable[[], "object"]],
+        workload: str,
         duration_ns: int,
         seeds: Sequence[int],
         ncpus: int = 8,
@@ -97,15 +95,15 @@ class SeedSweep:
     ) -> "SeedSweep":
         """Run the workload once per seed and collect the analyses.
 
-        ``workload_factory`` is a zero-arg callable (the historical API) or
-        a workload name resolvable by :mod:`repro.exec` (``"FTQ"``, a
-        Sequoia benchmark, ``"module:attr"``).  With ``parallel=True`` the
-        runs fan out across a process pool; results are bit-identical to
-        the serial path because each run is deterministic in its spec.
-        ``cache`` (a :class:`repro.exec.ShardedStore`) lets repeat sweeps
-        skip simulation entirely.
+        ``workload`` is a name resolvable by :mod:`repro.exec` (``"FTQ"``,
+        a Sequoia benchmark, a :func:`~repro.exec.register_workload` name,
+        ``"module:attr"``).  With ``parallel=True`` the runs fan out across
+        a process pool; results are bit-identical to the serial path
+        because each run is deterministic in its spec.  ``cache`` (a
+        :class:`repro.exec.ShardedStore`) lets repeat sweeps skip
+        simulation entirely.
 
-        Named sweeps execute through :meth:`repro.exec.SweepPlan.execute`:
+        Sweeps execute through :meth:`repro.exec.SweepPlan.execute`:
         ``plan`` (a saved, journaled :class:`repro.exec.SweepPlan`) lets
         the sweep be interrupted and resumed — see
         ``docs/sweep-orchestration.md``; without one, the specs form an
@@ -114,103 +112,67 @@ class SeedSweep:
         execute; by default a process pool when ``parallel`` and more
         than one worker, else in-process.  All of these produce
         bit-identical analyses.
-
-        Factories that are not importable by name (lambdas, closures,
-        bound instances) cannot cross a process boundary; those fall back
-        to in-process execution with a warning.
         """
         from repro.exec import (
             LocalPoolBackend,
             RunSpec,
             SerialBackend,
             SweepPlan,
-            dotted_path_of,
         )
 
-        name: Optional[str] = None
-        if isinstance(workload_factory, str):
-            name = workload_factory
-        elif parallel or cache is not None or plan is not None:
-            name = dotted_path_of(workload_factory)
-            if name is None and parallel:
-                warnings.warn(
-                    "workload factory has no importable path; running the "
-                    "sweep serially in-process (pass a workload name or a "
-                    "module-level factory to parallelize)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        if name is None and plan is not None:
+        if max_workers is not None and max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
+        specs = [
+            RunSpec.make(workload, duration_ns, int(seed), ncpus)
+            for seed in seeds
+        ]
+        if plan is None:
+            plan = SweepPlan(specs)
+        elif not plan.matches(specs):
             raise ValueError(
-                "a planned sweep needs a named workload (factories without "
-                "an importable path cannot be journaled)"
+                "plan does not match this sweep's specs; "
+                "re-plan or fix the arguments"
             )
-        if name is not None:
-            if max_workers is not None and max_workers < 1:
-                raise ValueError("max_workers must be >= 1")
-            specs = [
-                RunSpec.make(name, duration_ns, int(seed), ncpus)
-                for seed in seeds
-            ]
-            if plan is None:
-                plan = SweepPlan(specs)
-            elif not plan.matches(specs):
-                raise ValueError(
-                    "plan does not match this sweep's specs; "
-                    "re-plan or fix the arguments"
-                )
-            if backend is None:
-                workers = min(max_workers or os.cpu_count() or 1,
-                              len(plan.specs))
-                backend = (
-                    LocalPoolBackend(workers) if parallel and workers > 1
-                    else SerialBackend()
-                )
-            if progress is None and obs.enabled():
-                # Observed long sweeps heartbeat by default (rate-limited).
-                hb = obs.Heartbeat("runner", total=len(plan.specs))
-                progress = lambda done, *_: hb.tick(done)
-            hits0 = cache.hits if cache is not None else 0
-            misses0 = cache.misses if cache is not None else 0
-            with obs.span("sweep", workload=name, runs=len(specs)):
-                results = plan.execute(backend, cache, progress=progress)
-                sweep = SeedSweep([
-                    r.analysis() for r in plan.results_for(specs, results)
-                ])
-            # A loaded plan.json holds unique specs only; count this
-            # sweep's duplicates from what it asked for.
-            stats = dict(plan.last_stats, failures=0,
-                         duplicates=len(specs) - len(plan.specs))
-            how = (
-                f"{stats['workers']} workers" if stats["used_processes"]
-                else "serial"
+        if backend is None:
+            workers = min(max_workers or os.cpu_count() or 1,
+                          len(plan.specs))
+            backend = (
+                LocalPoolBackend(workers) if parallel and workers > 1
+                else SerialBackend()
             )
-            sweep.exec_summary = (
-                f"{stats['runs']} runs: {stats['cached']} cached, "
-                f"{stats['simulated']} simulated ({how}) "
-                f"in {stats['wall_s']:.2f}s wall"
+        if progress is None and obs.enabled():
+            # Observed long sweeps heartbeat by default (rate-limited).
+            hb = obs.Heartbeat("runner", total=len(plan.specs))
+            progress = lambda done, *_: hb.tick(done)
+        hits0 = cache.hits if cache is not None else 0
+        misses0 = cache.misses if cache is not None else 0
+        with obs.span("sweep", workload=workload, runs=len(specs)):
+            results = plan.execute(backend, cache, progress=progress)
+            sweep = SeedSweep([
+                r.analysis() for r in plan.results_for(specs, results)
+            ])
+        # A loaded plan.json holds unique specs only; count this
+        # sweep's duplicates from what it asked for.
+        stats = dict(plan.last_stats, failures=0,
+                     duplicates=len(specs) - len(plan.specs))
+        how = (
+            f"{stats['workers']} workers" if stats["used_processes"]
+            else "serial"
+        )
+        sweep.exec_summary = (
+            f"{stats['runs']} runs: {stats['cached']} cached, "
+            f"{stats['simulated']} simulated ({how}) "
+            f"in {stats['wall_s']:.2f}s wall"
+        )
+        if cache is not None:
+            stats["cache_hits"] = cache.hits - hits0
+            stats["cache_misses"] = cache.misses - misses0
+            sweep.exec_summary += (
+                f"; cache {stats['cache_hits']} hits, "
+                f"{stats['cache_misses']} misses"
             )
-            if cache is not None:
-                stats["cache_hits"] = cache.hits - hits0
-                stats["cache_misses"] = cache.misses - misses0
-                sweep.exec_summary += (
-                    f"; cache {stats['cache_hits']} hits, "
-                    f"{stats['cache_misses']} misses"
-                )
-            sweep.exec_stats = stats
-            return sweep
-
-        analyses = []
-        with obs.span("sweep", runs=len(seeds)):
-            for seed in seeds:
-                workload = workload_factory()
-                node, trace = workload.run_traced(
-                    duration_ns, seed=int(seed), ncpus=ncpus
-                )
-                analyses.append(
-                    NoiseAnalysis(trace, meta=TraceMeta.from_node(node))
-                )
-        return SeedSweep(analyses)
+        sweep.exec_stats = stats
+        return sweep
 
     # ------------------------------------------------------------------
     def metric(

@@ -33,12 +33,7 @@ from repro.exec.backend import (
 )
 from repro.exec.journal import Journal
 from repro.exec.plan import PlanShard, RunResult, SweepPlan
-from repro.exec.spec import (
-    RunSpec,
-    dotted_path_of,
-    register_workload,
-    resolve_factory,
-)
+from repro.exec.spec import RunSpec, register_workload, resolve_factory
 from repro.exec.store import (
     CACHE_ENV,
     ShardedStore,
@@ -62,7 +57,6 @@ __all__ = [
     "SweepPlan",
     "default_cache_dir",
     "dispatch_with_retry",
-    "dotted_path_of",
     "execute_spec_serialized",
     "execute_spec_streaming",
     "register_workload",

@@ -68,24 +68,6 @@ def resolve_factory(name: str) -> Callable[..., "object"]:
     )
 
 
-def dotted_path_of(factory: "object") -> Optional[str]:
-    """The ``module:qualname`` path of a module-level factory, or None.
-
-    Lambdas, closures and bound instances have no importable path; for those
-    the caller must fall back to in-process execution.
-    """
-    mod = getattr(factory, "__module__", None)
-    qualname = getattr(factory, "__qualname__", None)
-    if not mod or not qualname or "<locals>" in qualname:
-        return None
-    path = f"{mod}:{qualname}"
-    try:
-        resolved = resolve_factory(path)
-    except ValueError:
-        return None
-    return path if resolved is factory else None
-
-
 def _canonical(value: Any) -> Any:
     """Reject spec kwargs that are not hashable scalar data.
 

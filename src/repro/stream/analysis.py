@@ -27,9 +27,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.core.analysis import DerivedQueries, _resolve_event, marker_rows
+from repro.core.analysis import (
+    DerivedQueries,
+    NoiseTotals,
+    _resolve_event,
+    marker_rows,
+)
 from repro.core.engine import StreamEngine
-from repro.core.model import ActivityTable, NoiseCategory, TraceMeta
+from repro.core.model import ActivityTable, TraceMeta
 from repro.stream.decoder import StreamDecoder, iter_packets_chronological
 from repro.stream.window import WindowMerger
 from repro.tracing.ctf import Packet, Trace, read_trace_header
@@ -136,7 +141,7 @@ class StreamingAnalysis(DerivedQueries):
         self.span_ns = max(1, self.end_ts - self.start_ts)
         self._engine.finish(self.end_ts)
         self._merger.finish(self.end_ts)
-        self._warn_out_of_range(self._merger.out_of_range)
+        self._warn_out_of_range()
         self._obs_flush()
         return self
 
@@ -289,12 +294,16 @@ class StreamingAnalysis(DerivedQueries):
 
     # ------------------------------------------------------------------
     # Query surface (mirrors NoiseAnalysis; results are bit-identical).
-    # breakdown_fractions, noise_fraction and noise_imbalance come from
-    # DerivedQueries, built on the primitives below.
+    # The noise totals and the queries built on them come from
+    # DerivedQueries, reading the merger's NoiseTotals.
     # ------------------------------------------------------------------
     def _require_finished(self) -> None:
         if not self._finished:
             raise RuntimeError("finish() the stream before querying results")
+
+    def _noise_totals(self) -> NoiseTotals:
+        self._require_finished()
+        return self._merger.totals
 
     def stats(
         self, event: Union[int, str], noise_only: bool = False
@@ -317,23 +326,6 @@ class StreamingAnalysis(DerivedQueries):
                 noise_only
             ).items()
         }
-
-    def breakdown_ns(self) -> Dict[NoiseCategory, int]:
-        """Total noise self-time per category (truncated included)."""
-        self._require_finished()
-        return self._merger.breakdown_ns()
-
-    def total_noise_ns(self) -> int:
-        self._require_finished()
-        return self._merger.total_noise_ns
-
-    def per_cpu_noise_ns(self) -> np.ndarray:
-        self._require_finished()
-        return self._merger.per_cpu_noise_ns()
-
-    def per_cpu_breakdown(self) -> Dict[int, Dict[NoiseCategory, int]]:
-        self._require_finished()
-        return self._merger.per_cpu_breakdown()
 
     def markers(self) -> np.ndarray:
         """Workload marker point events as ``(time, pid, arg)`` rows."""

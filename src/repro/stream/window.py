@@ -13,9 +13,11 @@ exactly:
   exact under float64 pairwise summation while below 2**53); the standard
   deviation comes from the exact moments instead of ``np.std``'s float
   pipeline, so it matches to float precision, not bit layout;
-* **noise totals** per category, per CPU and per ``(cpu, category)`` —
-  plain int64-exact sums over the same ``is_noise & cpu < ncpus`` mask the
-  batch queries use;
+* **noise totals**: one :class:`~repro.core.analysis.NoiseTotals`, the
+  int64 ``(cpu, category)`` fold batch analysis runs once over its finished
+  table, here run once per block (integer sums do not depend on fold
+  order); the facade answers every total query from it through
+  :class:`~repro.core.analysis.DerivedQueries`;
 * **timeline bins**: one :class:`_TimelineBinner` per configured quantum
   holds the noise rows that can still reach an unsealed bin and seals a
   bin only when no in-flight or future activity can still overlap it.
@@ -37,15 +39,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.analysis import binned_noise_ns
+from repro.core.analysis import NoiseTotals, binned_noise_ns
 from repro.core.engine import canonical_order, is_window
 from repro.core.model import (
     ACTIVITY_DTYPE,
     ActivityTable,
-    BREAKDOWN_CATEGORIES,
-    CATEGORY_CODE,
-    CATEGORY_ORDER,
-    NoiseCategory,
     TraceMeta,
     activity_name,
     concat_rows,
@@ -224,9 +222,6 @@ def _fold_moments(
             acc.fold(*moments)
 
 
-_N_CATEGORIES = len(CATEGORY_ORDER)
-
-
 class WindowMerger:
     """Accumulate engine row blocks into batch-exact aggregates and
     chunks."""
@@ -243,25 +238,17 @@ class WindowMerger:
     ) -> None:
         if window_ns is not None and window_ns <= 0:
             raise ValueError("window_ns must be positive")
-        self.ncpus = ncpus
         self.start_ts = start_ts
         self.meta = meta
         self.window_ns = window_ns
         self.on_chunk = on_chunk
         self.rows = 0
         self.windows_emitted = 0
-        self.out_of_range = 0
-        self.total_noise_ns = 0
 
         # (event, pid-or--1) -> exact moments; truncated rows excluded.
         self._all: Dict[Tuple[int, int], Moments] = {}
         self._noise: Dict[Tuple[int, int], Moments] = {}
-        # Noise totals over the batch mask (is_noise & cpu < ncpus), per
-        # (cpu, category), int64-exact like the batch np.add.at; ``_seen``
-        # marks the pairs that had a noise row (their keys appear even
-        # with a zero total).
-        self._noise_ns = np.zeros((ncpus, _N_CATEGORIES), dtype=np.int64)
-        self._seen = np.zeros((ncpus, _N_CATEGORIES), dtype=bool)
+        self.totals = NoiseTotals(ncpus)
 
         self._binners: Dict[int, _TimelineBinner] = {
             int(q): _TimelineBinner(int(q), start_ts, end_ts)
@@ -293,15 +280,7 @@ class WindowMerger:
                 d["self_ns"][kept],
             )
 
-        inside = d["cpu"] < self.ncpus
-        self.out_of_range += len(d) - int(inside.sum())
-        m = noise & inside
-        if m.any():
-            values = d["self_ns"][m]
-            self.total_noise_ns += int(values.sum())
-            pair = (d["cpu"][m], d["category"][m])
-            np.add.at(self._noise_ns, pair, values)
-            self._seen[pair] = True
+        self.totals.add(d)
 
         if self._binners and noise.any():
             # The timeline has no cpu/truncated mask: every noise row
@@ -380,28 +359,6 @@ class WindowMerger:
                 out[name] = merged = Moments()
             merged.merge(acc)
         return {name: out[name] for name in sorted(out)}
-
-    def breakdown_ns(self) -> Dict[NoiseCategory, int]:
-        per_cat = self._noise_ns.sum(axis=0)
-        totals: Dict[NoiseCategory, int] = {
-            c: int(per_cat[CATEGORY_CODE[c]]) for c in BREAKDOWN_CATEGORIES
-        }
-        for code in self._seen.any(axis=0).nonzero()[0].tolist():
-            totals[CATEGORY_ORDER[code]] = int(per_cat[code])
-        return totals
-
-    def per_cpu_noise_ns(self) -> np.ndarray:
-        return self._noise_ns.sum(axis=1)
-
-    def per_cpu_breakdown(self) -> Dict[int, Dict[NoiseCategory, int]]:
-        out: Dict[int, Dict[NoiseCategory, int]] = {
-            cpu: {c: 0 for c in BREAKDOWN_CATEGORIES}
-            for cpu in range(self.ncpus)
-        }
-        cpus, codes = self._seen.nonzero()
-        for cpu, code in zip(cpus.tolist(), codes.tolist()):
-            out[cpu][CATEGORY_ORDER[code]] = int(self._noise_ns[cpu, code])
-        return out
 
     def timeline(self, quantum_ns: int) -> np.ndarray:
         binner = self._binners.get(int(quantum_ns))

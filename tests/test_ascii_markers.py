@@ -5,7 +5,7 @@ import pytest
 from repro.core import NoiseAnalysis
 from repro.core.report import render_ascii_trace
 from repro.tracing.events import Ev
-from repro.util.units import MSEC, SEC
+from repro.util.units import SEC
 from recbuild import RecordBuilder, meta
 
 

@@ -1,6 +1,5 @@
 """Unit tests for the synthetic OS noise chart."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -118,7 +117,3 @@ class TestChartQueries:
 
     def test_total(self):
         assert self._chart().total_noise_ns() == 9500
-
-    def test_describe_window_text(self):
-        text = self._chart().describe_window(0, 150_000)
-        assert "timer_interrupt" in text and "page_fault" in text

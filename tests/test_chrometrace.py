@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import NoiseAnalysis, TraceMeta
+from repro.core import NoiseAnalysis
 from repro.core.timeline import TaskTimeline
 from repro.io.chrometrace import (
     activities_to_events,

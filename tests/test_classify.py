@@ -1,7 +1,5 @@
 """Unit tests for the noise/service classification rules."""
 
-import pytest
-
 from repro.core import NoiseAnalysis
 from repro.core.model import NoiseCategory
 from repro.simkernel.task import TaskState

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.cluster import ClusterStudy, NodeRun
-from repro.core.model import BREAKDOWN_CATEGORIES
+from repro.core.cluster import ClusterStudy
 from repro.util.units import MSEC
 from repro.workloads import SequoiaWorkload
 

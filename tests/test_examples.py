@@ -9,8 +9,6 @@ their underlying library tests.
 import runpy
 import sys
 
-import pytest
-
 EXAMPLES = "examples"
 
 

@@ -7,7 +7,6 @@ and serial execution produce bit-identical traces.
 """
 
 import os
-import warnings
 
 import pytest
 
@@ -18,7 +17,6 @@ from repro.exec import (
     SerialBackend,
     ShardedStore,
     SweepPlan,
-    dotted_path_of,
     register_workload,
     resolve_factory,
 )
@@ -71,10 +69,7 @@ class TestRunSpec:
             resolve_factory("NOSUCH")
 
     def test_dotted_path_resolution(self):
-        path = dotted_path_of(FTQWorkload)
-        assert path == "repro.workloads.ftq:FTQWorkload"
-        assert resolve_factory(path) is FTQWorkload
-        assert dotted_path_of(lambda: None) is None
+        assert resolve_factory("repro.workloads.ftq:FTQWorkload") is FTQWorkload
 
     def test_register_workload(self):
         register_workload("my-ftq", FTQWorkload)
@@ -200,20 +195,6 @@ class TestSeedSweepIntegration:
             assert a.span_ns == b.span_ns
             assert len(a.records) == len(b.records)
             assert a.total_noise_ns() == b.total_noise_ns()
-
-    def test_name_path_matches_legacy_factory_path(self):
-        legacy = SeedSweep.run(FTQWorkload, SHORT, [0, 1], ncpus=2)
-        named = SeedSweep.run("FTQ", SHORT, [0, 1], ncpus=2)
-        assert list(legacy.noise_fraction().values) == \
-            list(named.noise_fraction().values)
-
-    def test_unpicklable_factory_falls_back_with_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sweep = SeedSweep.run(lambda: FTQWorkload(), SHORT, [0],
-                                  ncpus=2, parallel=True)
-        assert len(sweep.analyses) == 1
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
 
     def test_sweep_uses_cache(self, tmp_path):
         cache = ShardedStore(str(tmp_path))

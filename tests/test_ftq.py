@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import NoiseAnalysis, SyntheticNoiseChart, TraceMeta
+from repro.core import SyntheticNoiseChart
 from repro.workloads import (
     DEFAULT_OP_NS,
     DEFAULT_QUANTUM_NS,
-    FTQWorkload,
     ftq_output,
 )
 from repro.workloads.ftq_host import run_host_ftq
-from repro.util.units import MSEC, SEC
+from repro.util.units import SEC
 
 
 class TestFtqWorkload:

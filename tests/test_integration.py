@@ -9,12 +9,11 @@ import pytest
 
 from repro.core import (
     NoiseAnalysis,
-    NoiseCategory,
     SyntheticNoiseChart,
     TraceMeta,
 )
 from repro.tracing.ctf import Trace
-from repro.tracing.events import Ev, Flag
+from repro.tracing.events import Flag
 from repro.util.units import MSEC, SEC
 from repro.workloads import FTQWorkload, SequoiaWorkload, ftq_output
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.simkernel import ComputeNode, NodeConfig, RankProgram, TaskKind
-from repro.simkernel.distributions import Constant, from_stats
+from repro.simkernel.distributions import Constant
 from repro.tracing.events import Ev, ListSink
 from repro.util.units import MSEC, SEC
 

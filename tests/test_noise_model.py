@@ -8,7 +8,7 @@ from repro.core.noise_model import NoiseProfile, fit_noise_profile
 from repro.simkernel import ComputeNode, NodeConfig
 from repro.simkernel.distributions import Empirical
 from repro.tracing.tracer import Tracer
-from repro.util.units import MSEC, SEC
+from repro.util.units import SEC
 from repro.workloads.synthetic import SpinProgram
 
 

@@ -6,7 +6,6 @@ from repro.core import NoiseAnalysis
 from repro.core.phases import phase_breakdown, phase_stats, split_phases
 from repro.core.model import NoiseCategory
 from repro.tracing.events import Ev, Flag
-from repro.util.units import MSEC, SEC
 from recbuild import RANK, RecordBuilder, meta
 
 

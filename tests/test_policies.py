@@ -1,11 +1,8 @@
 """Tests for the kernel-policy knobs: NO_HZ idle and daemon priorities."""
 
-import pytest
-
 from repro.core import NoiseAnalysis, NoiseCategory, TraceMeta
 from repro.simkernel import ComputeNode, NodeConfig, RankProgram, TaskKind
 from repro.simkernel.distributions import Constant, from_stats
-from repro.simkernel.task import TaskState
 from repro.tracing.events import Ev, Flag, ListSink, decode_switch
 from repro.util.units import MSEC, SEC, USEC
 

@@ -5,14 +5,13 @@ reconstruction invariants are checked: self/total relationships, conservation
 of kernel time, and exporter round-trips.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import NoiseAnalysis, build_interruptions
 from repro.io.paraver import ParaverWriter, parse_prv
-from repro.tracing.events import Ev, Flag, RECORD_DTYPE
+from repro.tracing.events import Ev, Flag
 from recbuild import RANK, RecordBuilder, engine_table, meta
 
 PAIRED_EVENTS = [

@@ -131,7 +131,7 @@ class TestSeedSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
         return SeedSweep.run(
-            lambda: SequoiaWorkload("SPHOT", nominal_ns=400 * MSEC),
+            "SPHOT",
             duration_ns=400 * MSEC,
             seeds=[1, 2, 3, 4],
             ncpus=2,

@@ -9,7 +9,7 @@ from repro.core.report import (
     format_interruptions,
     format_table,
 )
-from repro.util.stats import DurationStats, describe_durations
+from repro.util.stats import describe_durations
 from repro.util.units import SEC
 
 

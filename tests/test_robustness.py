@@ -10,7 +10,6 @@ import pytest
 
 from repro.core import NoiseAnalysis, SyntheticNoiseChart, TraceMeta
 from repro.tracing.ctf import Packet, Trace
-from repro.tracing.events import RECORD_SIZE
 from repro.util.units import MSEC, SEC
 from repro.workloads import FTQWorkload
 

@@ -8,10 +8,9 @@ daemon) -> daemon interval -> schedule() -> sched_switch(daemon -> rank).
 import pytest
 
 from repro.simkernel import ComputeNode, NodeConfig, RankProgram, TaskKind
-from repro.simkernel.distributions import Constant
 from repro.simkernel.task import TaskState
 from repro.tracing.events import Ev, Flag, ListSink, decode_switch
-from repro.util.units import MSEC, SEC, USEC
+from repro.util.units import MSEC, USEC
 
 
 class Spin(RankProgram):

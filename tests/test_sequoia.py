@@ -8,7 +8,7 @@ tolerances — the substrate is a simulator, not the authors' testbed.
 import pytest
 
 from repro.core import NoiseAnalysis, NoiseCategory, TraceMeta
-from repro.util.units import MSEC, SEC
+from repro.util.units import SEC
 from repro.workloads import SEQUOIA_PROFILES, SequoiaWorkload, make_workload
 
 

@@ -1,10 +1,7 @@
 """Unit tests for softirq/tasklet semantics."""
 
-import pytest
-
 from repro.simkernel import ComputeNode, NodeConfig, RankProgram
-from repro.simkernel.cpu import Frame, FrameKind
-from repro.simkernel.softirq import SoftirqHandler, Vec
+from repro.simkernel.softirq import Vec
 from repro.tracing.events import Ev, Flag, ListSink
 from repro.util.units import MSEC
 

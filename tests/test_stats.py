@@ -1,6 +1,5 @@
 """Unit tests for repro.util.stats."""
 
-import numpy as np
 import pytest
 
 from repro.util.stats import (

@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recbuild import DAEMON, IDLE, RANK, RANK2, TRACERD, RecordBuilder, meta
+from repro import obs
 from repro.core import NoiseAnalysis
 from repro.simkernel import ComputeNode, NodeConfig, TaskKind
 from repro.simkernel.distributions import from_stats
@@ -257,6 +258,7 @@ def test_out_of_range_cpus_warn_and_match():
     b.activity(10, 20, Ev.IRQ_TIMER, cpu=0)
     b.switch(6, IDLE, RANK2, cpu=5)
     b.activity(30, 44, Ev.IRQ_TIMER, cpu=5, pid=RANK2)
+    b.activity(46, 48, Ev.SYSCALL, cpu=5, pid=RANK2)  # not noise
     rec = b.build()
     packets = []
     for cpu in (0, 5):
@@ -264,9 +266,29 @@ def test_out_of_range_cpus_warn_and_match():
         packets.append(Packet(int(cpu), len(sel), 0, int(sel["time"][0]),
                               int(sel["time"][-1]), sel.tobytes()))
     trace = Trace(ncpus=1, start_ts=0, end_ts=50, packets=packets)
-    assert_equivalent(trace, meta(), quanta=(30,), window_ns=40)
-    with pytest.warns(RuntimeWarning, match="reference CPUs"):
-        StreamingAnalysis.from_trace(trace, meta=meta())
+    batch, _ = assert_equivalent(trace, meta(), quanta=(30,), window_ns=40)
+    outside = batch.table.data[batch.table.data["cpu"] >= 1]
+    assert outside["is_noise"].any() and not outside["is_noise"].all()
+    excluded = len(outside)
+    # Both facades count the excluded rows alike: the same warning text
+    # (it carries the count) and the same obs counter increment.
+    counted = []
+    obs.enable()
+    try:
+        for facade in (NoiseAnalysis, StreamingAnalysis.from_trace):
+            before = obs.counter("analysis.out_of_range_cpu").value
+            with pytest.warns(RuntimeWarning, match="reference CPUs") as caught:
+                facade(trace, meta=meta())
+            counted.append((
+                [str(w.message) for w in caught],
+                obs.counter("analysis.out_of_range_cpu").value - before,
+            ))
+    finally:
+        obs.disable()
+        obs.reset()
+    message = (f"{excluded} activities reference CPUs >= ncpus=1; "
+               "they are excluded from noise totals")
+    assert counted == [([message], excluded)] * 2
 
 
 def test_span_overrides_match():

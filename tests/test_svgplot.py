@@ -13,7 +13,6 @@ from repro.io.svgplot import (
     write_svg,
 )
 from repro.tracing.events import Ev
-from repro.util.units import SEC
 from recbuild import RecordBuilder, meta
 
 SVG_NS = "{http://www.w3.org/2000/svg}"

@@ -1,6 +1,5 @@
 """Unit tests for the synthetic workloads (BSP + compute-bound)."""
 
-import numpy as np
 import pytest
 
 from repro.simkernel.injection import inject

@@ -1,14 +1,12 @@
 """Tests for CPU oversubscription timeslicing and high-resolution timers."""
 
-import dataclasses
-
 import pytest
 
 from repro.core import NoiseAnalysis, TraceMeta
 from repro.simkernel import ComputeNode, NodeConfig, RankProgram
 from repro.tracing.events import Ev, Flag, ListSink
 from repro.tracing.tracer import Tracer
-from repro.util.units import MSEC, SEC, USEC
+from repro.util.units import MSEC, SEC
 
 
 class Spin(RankProgram):
