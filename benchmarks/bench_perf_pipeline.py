@@ -440,3 +440,69 @@ def test_plan_rerun_cache_reuse(tmp_path):
     for a, b in zip(cold, warm):
         assert a.spec == b.spec
         assert a.trace.to_bytes() == b.trace.to_bytes()
+
+
+def test_sweep_analyses_once_per_unique_spec(benchmark, tmp_path,
+                                             monkeypatch):
+    """Warm sweep cost when seeds repeat: a cold and then warm 48-seed
+    LAMMPS 100 ms sweeps over a 36-seed pool, through a ``ShardedStore``.
+
+    A warm sweep simulates nothing, so analysis dominates it; a sweep
+    analyses each unique spec once, however often its seed repeats.
+    ``extra_info`` carries the unique and analysis counts and warm ms per
+    seed (min, median, p95 over the rounds)."""
+    import random
+
+    from repro.core import analysis as core_analysis
+    from repro.core.sweep import SeedSweep
+    from repro.exec import ShardedStore
+
+    rng = random.Random(21)
+    seeds = [rng.randrange(36) for _ in range(48)]
+    unique = len(set(seeds))
+    built = []
+
+    class CountingAnalysis(NoiseAnalysis):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(core_analysis, "NoiseAnalysis", CountingAnalysis)
+    store = ShardedStore(str(tmp_path / "store"))
+
+    def sweep():
+        return SeedSweep.run("LAMMPS", 100 * MSEC, seeds, 8, cache=store)
+
+    cold = sweep()
+    assert cold.exec_stats["simulated"] == unique
+    per_round = [len(built)]
+    round_ns = []
+
+    def warm():
+        del built[:]
+        t0 = time.perf_counter_ns()
+        result = sweep()
+        round_ns.append(time.perf_counter_ns() - t0)
+        per_round.append(len(built))
+        return result
+
+    result = benchmark.pedantic(warm, rounds=5, iterations=1)
+    assert result.exec_stats["simulated"] == 0
+    assert len(result.analyses) == len(seeds)
+    for a, b in zip(cold.analyses, result.analyses):
+        assert a.records.tobytes() == b.records.tobytes()
+    per_seed = sorted(ns / 1e6 / len(seeds) for ns in round_ns)
+    p95 = per_seed[max(0, -(-len(per_seed) * 95 // 100) - 1)]
+    benchmark.extra_info.update(
+        seeds=len(seeds),
+        unique_specs=unique,
+        analyses=per_round[-1],
+        warm_ms_per_seed_min=round(per_seed[0], 3),
+        warm_ms_per_seed_median=round(per_seed[len(per_seed) // 2], 3),
+        warm_ms_per_seed_p95=round(p95, 3),
+    )
+    print(f"\nsweep: {len(seeds)} seeds, {unique} unique, "
+          f"{per_round[-1]} analyses per sweep; warm "
+          f"{per_seed[len(per_seed) // 2]:.2f} ms/seed (median)")
+    record_metric("sweep_analyses_per_unique", per_round[-1] / unique)
+    assert per_round == [unique] * len(per_round)

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.analysis import NoiseAnalysis
-from repro.core.model import NoiseCategory
 
 
 @dataclass(frozen=True)
@@ -112,6 +111,12 @@ class SeedSweep:
         execute; by default a process pool when ``parallel`` and more
         than one worker, else in-process.  All of these produce
         bit-identical analyses.
+
+        Each unique spec is analysed once: a seed repeated in ``seeds``
+        keeps its position in :attr:`analyses` (and in every
+        :meth:`metric` array), but all of its positions hold one shared
+        :class:`~repro.core.analysis.NoiseAnalysis`, which callers must
+        treat as read-only.
         """
         from repro.exec import (
             LocalPoolBackend,
@@ -148,9 +153,8 @@ class SeedSweep:
         misses0 = cache.misses if cache is not None else 0
         with obs.span("sweep", workload=workload, runs=len(specs)):
             results = plan.execute(backend, cache, progress=progress)
-            sweep = SeedSweep([
-                r.analysis() for r in plan.results_for(specs, results)
-            ])
+            by_spec = {r.spec: r.analysis() for r in results}
+            sweep = SeedSweep([by_spec[spec] for spec in specs])
         # A loaded plan.json holds unique specs only; count this
         # sweep's duplicates from what it asked for.
         stats = dict(plan.last_stats, failures=0,
@@ -191,12 +195,6 @@ class SeedSweep:
         return self.metric(
             f"{event}.{field}",
             lambda a: float(getattr(a.stats(event), field)),
-        )
-
-    def breakdown_metric(self, category: NoiseCategory) -> MetricSummary:
-        return self.metric(
-            f"breakdown.{category.value}",
-            lambda a: a.breakdown_fractions().get(category, 0.0),
         )
 
     def noise_fraction(self) -> MetricSummary:

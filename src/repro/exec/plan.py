@@ -367,13 +367,6 @@ class SweepPlan:
                 )
         return [by_spec[spec] for spec in self.specs]
 
-    def results_for(
-        self, inputs: Sequence[RunSpec], results: Sequence[RunResult]
-    ) -> List[RunResult]:
-        """Fan plan results back onto a (possibly duplicated) input list."""
-        by_spec = {result.spec: result for result in results}
-        return [by_spec[spec] for spec in inputs]
-
     # ------------------------------------------------------------------
     def describe(self) -> str:
         occupied = sum(1 for shard in self.shards if shard.specs)

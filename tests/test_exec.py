@@ -10,6 +10,8 @@ import os
 
 import pytest
 
+from repro.core import analysis as core_analysis
+from repro.core.analysis import NoiseAnalysis
 from repro.core.sweep import SeedSweep
 from repro.exec import (
     LocalPoolBackend,
@@ -138,12 +140,17 @@ class TestPlanExecution:
         assert [r.spec.seed for r in results] == [3, 1, 2]
 
     def test_duplicate_specs_simulated_once(self, tmp_path):
-        specs = [spec(7), spec(7)]
-        plan, results = execute(specs, store=ShardedStore(str(tmp_path)))
+        store = ShardedStore(str(tmp_path))
+        plan, results = execute([spec(7), spec(7)], store=store)
+        assert [r.spec for r in results] == [spec(7)]
         assert plan.last_stats["simulated"] == 1
         assert plan.last_stats["duplicates"] == 1
-        fanned = plan.results_for(specs, results)
-        assert fanned[0].trace.to_bytes() == fanned[1].trace.to_bytes()
+        sweep = SeedSweep.run("FTQ", SHORT, [7, 7], ncpus=2, cache=store)
+        assert sweep.exec_stats["simulated"] == 0
+        assert sweep.exec_stats["duplicates"] == 1
+        assert sweep.analyses[0] is sweep.analyses[1]
+        assert (sweep.analyses[0].records.tobytes()
+                == results[0].analysis().records.tobytes())
 
     def test_cache_warm_second_run_skips_simulation(self, tmp_path):
         cache = ShardedStore(str(tmp_path))
@@ -202,6 +209,56 @@ class TestSeedSweepIntegration:
         assert cache.misses == 2
         SeedSweep.run("FTQ", SHORT, [0, 1], ncpus=2, cache=cache)
         assert cache.hits == 2
+
+
+class TestSweepFanIn:
+    """A sweep analyses each unique spec once and fans that one analysis
+    back onto every position that asked for it."""
+
+    SEEDS = [3, 1, 3, 2, 1, 3]
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        out = {}
+        for seed in set(self.SEEDS):
+            trace, meta = spec(seed).execute()
+            out[seed] = NoiseAnalysis(trace, meta)
+        return out
+
+    @pytest.mark.parametrize("planned", [False, True],
+                             ids=["unplanned", "planned"])
+    @pytest.mark.parametrize("make_backend",
+                             [SerialBackend, lambda: LocalPoolBackend(2)],
+                             ids=["serial", "pool2"])
+    def test_one_analysis_per_unique_spec(self, tmp_path, monkeypatch,
+                                          reference, planned, make_backend):
+        built = []
+
+        class CountingAnalysis(NoiseAnalysis):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(core_analysis, "NoiseAnalysis", CountingAnalysis)
+        plan = None
+        if planned:
+            plan = SweepPlan([spec(s) for s in self.SEEDS], shards=2,
+                             plan_dir=str(tmp_path))
+            plan.save()
+        sweep = SeedSweep.run("FTQ", SHORT, self.SEEDS, ncpus=2,
+                              backend=make_backend(), plan=plan)
+        assert len(built) == len(set(self.SEEDS))
+        assert len(sweep.analyses) == len(self.SEEDS)
+        first = {}
+        for seed, analysis in zip(self.SEEDS, sweep.analyses):
+            assert first.setdefault(seed, analysis) is analysis
+            ref = reference[seed]
+            assert analysis.records.tobytes() == ref.records.tobytes()
+            assert analysis.total_noise_ns() == ref.total_noise_ns()
+        totals = sweep.metric("total", lambda a: a.total_noise_ns())
+        assert list(totals.values) == [
+            float(reference[s].total_noise_ns()) for s in self.SEEDS
+        ]
 
 
 @pytest.mark.slow

@@ -130,18 +130,27 @@ class TestSweepPlan:
             SweepPlan([])
 
     def test_execute_fans_in_spec_order(self, tmp_path):
-        specs = [spec(2), spec(0), spec(1), spec(0)]
-        plan = SweepPlan(specs, shards=4, plan_dir=str(tmp_path))
+        seeds = [2, 0, 1, 0]
+        plan = SweepPlan([spec(s) for s in seeds], shards=4,
+                         plan_dir=str(tmp_path))
         plan.save()
-        results = plan.execute(SerialBackend(),
-                               ShardedStore(str(tmp_path / "store")))
-        assert [r.spec.seed for r in results] == [2, 0, 1]
-        fanned = plan.results_for(specs, results)
-        assert [r.spec.seed for r in fanned] == [2, 0, 1, 0]
-        assert fanned[1].trace.to_bytes() == fanned[3].trace.to_bytes()
+        store = ShardedStore(str(tmp_path / "store"))
+        sweep = SeedSweep.run("FTQ", SHORT, seeds, ncpus=2, cache=store,
+                              backend=SerialBackend(), plan=plan)
         # Each unique spec simulated exactly once across the campaign.
-        assert plan.last_stats["simulated"] == 3
+        assert sweep.exec_stats["simulated"] == 3
+        assert sweep.exec_stats["duplicates"] == 1
         assert plan.verify_journal() == []
+        # The plan yields unique results in first-occurrence order; the
+        # sweep fans one analysis per unique spec back onto every
+        # requesting position.
+        results = plan.execute(SerialBackend(), store)
+        assert [r.spec.seed for r in results] == [2, 0, 1]
+        assert len(sweep.analyses) == len(seeds)
+        assert sweep.analyses[1] is sweep.analyses[3]
+        for analysis, k in zip(sweep.analyses, (0, 1, 2, 1)):
+            assert (analysis.records.tobytes()
+                    == results[k].analysis().records.tobytes())
 
     def test_journal_records_done_with_shard_provenance(self, tmp_path):
         plan = SweepPlan([spec(s) for s in range(4)], shards=2,

@@ -149,7 +149,11 @@ class TestSeedSweep:
         assert freq.cv < 0.05  # the tick is nearly deterministic
 
     def test_breakdown_metric(self, sweep):
-        periodic = sweep.breakdown_metric(NoiseCategory.PERIODIC)
+        periodic = sweep.metric(
+            "breakdown.periodic",
+            lambda a: a.breakdown_fractions().get(NoiseCategory.PERIODIC,
+                                                  0.0),
+        )
         assert 0 < periodic.mean < 1
 
     def test_summary_table(self, sweep):
