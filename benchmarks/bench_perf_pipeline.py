@@ -98,10 +98,32 @@ def test_perf_analysis(benchmark, amg_trace):
     assert len(analysis.table) > 10_000
 
 
+def _engine_blocks(**kwargs):
+    """A ``StreamingAnalysis.from_trace`` that also counts the engine's
+    ``process_to`` calls (its blocks); returns ``(analysis, blocks)``."""
+    from repro.core.engine import StreamEngine
+
+    blocks = [0]
+    process_to = StreamEngine.process_to
+
+    def counted(self, boundary):
+        blocks[0] += 1
+        return process_to(self, boundary)
+
+    StreamEngine.process_to = counted
+    try:
+        return StreamingAnalysis.from_trace(**kwargs), blocks[0]
+    finally:
+        StreamEngine.process_to = process_to
+
+
 def test_perf_analysis_1ms_windows(benchmark, amg_trace):
-    """The same engine cut into 1 ms blocks: ``StreamingAnalysis``
-    over the AMG trace with ``window_ns`` = 1 ms, where each block's
-    fixed cost dominates."""
+    """``StreamingAnalysis`` over the AMG trace with ``window_ns`` = 1 ms:
+    the default engine schedule plus 1001 window cuts of its rows.
+
+    ``extra_info`` also carries ``windows_emitted`` and the engine block
+    count, which must equal the window-less stream's: windows cut the
+    output, not the engine's blocks."""
     trace, meta = amg_trace
     records = sum(p.n_records for p in trace.packets)
     def stream():
@@ -109,6 +131,12 @@ def test_perf_analysis_1ms_windows(benchmark, amg_trace):
 
     result = _per_record_rounds(benchmark, stream, records, 5)
     assert result.records_processed == records
+    _, blocks = _engine_blocks(trace=trace, meta=meta, window_ns=MSEC)
+    _, plain_blocks = _engine_blocks(trace=trace, meta=meta)
+    benchmark.extra_info.update(
+        windows_emitted=result.windows_emitted, engine_blocks=blocks,
+    )
+    assert blocks == plain_blocks
 
 
 def test_perf_stream_timeline(benchmark, amg_trace):

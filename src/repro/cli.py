@@ -173,8 +173,8 @@ def cmd_analyze(args) -> int:
     """Noise summary, batch or streaming (``--stream``).
 
     The streaming path never loads the trace: packets are decoded and
-    analyzed one at a time, so memory stays bounded by the analysis window
-    rather than the trace length.  With ``--window-ns`` the per-window
+    analyzed one at a time, so memory stays bounded by the per-CPU packets
+    buffered behind the watermark rather than by the trace length.  With ``--window-ns`` the per-window
     activity chunks are summarized as they are sealed.  Both paths produce
     identical numbers.
     """
@@ -815,9 +815,7 @@ def cmd_submit(args) -> int:
     try:
         with ServiceClient(host, port, timeout_s=args.timeout) as client:
             if args.trace is not None:
-                out = client.upload_file(args.trace,
-                                         window_ns=args.window_ns,
-                                         meta_path=args.meta)
+                out = client.upload_file(args.trace, meta_path=args.meta)
                 job, result = out["job"], out["result"]
                 print(f"job {job['id']}: {job['state']} "
                       f"in {job['elapsed_s']:.3f}s", file=sys.stderr)
@@ -1097,8 +1095,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="FILE",
                    help="stream this recorded trace up for analysis "
                         "instead of submitting a spec")
-    p.add_argument("--window-ns", type=int, metavar="NS",
-                   help="with --trace: server-side streaming window size")
     p.add_argument("--meta", metavar="FILE",
                    help="with --trace: metadata sidecar to send along "
                         "(default: the .meta.json next to the trace)")

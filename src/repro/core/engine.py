@@ -10,7 +10,7 @@ the nested-time subtraction and the classification of
 later record can still change.  It is the only analysis pass there is:
 :class:`~repro.core.analysis.NoiseAnalysis` feeds a whole trace and
 processes it as one block, :class:`~repro.stream.StreamingAnalysis` one
-block per window or packet.  Lost-event gaps enter through
+block per watermark advance.  Lost-event gaps enter through
 :meth:`StreamEngine.feed_gap` on both paths.
 
 Canonical order

@@ -141,7 +141,6 @@ class ServiceClient:
     def upload(
         self,
         pieces: Union[bytes, Iterable[bytes], BinaryIO],
-        window_ns: Optional[int] = None,
         meta_json: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Stream a trace body up for analysis (chunked when unsized).
@@ -150,9 +149,6 @@ class ServiceClient:
         rides in the ``X-Trace-Meta`` header so the server classifies
         tasks (preemption vs daemon) exactly like batch ``analyze``.
         """
-        path = "/v1/traces"
-        if window_ns is not None:
-            path += f"?window_ns={window_ns}"
         # For a non-bytes body (iterable / file object) http.client
         # cannot size it, so it switches to chunked transfer-encoding by
         # itself — setting the header manually would suppress its chunk
@@ -162,10 +158,10 @@ class ServiceClient:
             # TraceMeta.to_json is ensure_ascii single-line JSON, safe
             # as a header value.
             headers["X-Trace-Meta"] = " ".join(meta_json.split())
-        return self.request("POST", path, body=pieces, headers=headers)
+        return self.request("POST", "/v1/traces", body=pieces,
+                            headers=headers)
 
     def upload_file(self, path: str,
-                    window_ns: Optional[int] = None,
                     meta_path: Optional[str] = None) -> Dict[str, Any]:
         """Upload a trace file; its ``.meta.json`` sidecar (or an
         explicit ``meta_path``) is sent along when present, mirroring
@@ -188,8 +184,7 @@ class ServiceClient:
                         return
                     yield piece
 
-        return self.upload(pieces(), window_ns=window_ns,
-                           meta_json=meta_json)
+        return self.upload(pieces(), meta_json=meta_json)
 
     # ------------------------------------------------------------------
     # Convenience

@@ -9,7 +9,7 @@ Routes (all JSON unless noted)::
     GET  /v1/jobs/<id>                  job status
     GET  /v1/jobs/<id>/result          full analysis payload (done jobs)
     GET  /v1/jobs/<id>/render/<kind>   text/binary renders of a done job
-    POST /v1/traces?window_ns=N        stream-analyze an uploaded trace
+    POST /v1/traces                    stream-analyze an uploaded trace
                                        (optional X-Trace-Meta header
                                        carries the .meta.json sidecar)
 
@@ -197,19 +197,8 @@ class ServiceApp:
     async def _upload(self, request: Request) -> Response:
         if not request.has_body:
             raise HttpError(400, "trace upload needs a request body")
-        window_raw = request.query.get("window_ns")
-        window_ns: Optional[int] = None
-        if window_raw:
-            try:
-                window_ns = int(window_raw)
-            except ValueError:
-                raise HttpError(400, "window_ns must be an integer")
-            if window_ns <= 0:
-                raise HttpError(400, "window_ns must be positive")
         meta = self._upload_meta(request)
-        job = await self.table.run_upload(
-            request.chunks(), window_ns, meta=meta
-        )
+        job = await self.table.run_upload(request.chunks(), meta=meta)
         if job.state == JOB_FAILED:
             # The stream was consumed; a broken trace is the client's 400.
             return Response.json(

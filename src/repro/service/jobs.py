@@ -24,7 +24,8 @@ analyses run at once; everything else queues (visible as the
 ``service.queue_depth`` gauge).  Trace uploads run the streaming
 analyzer on a worker thread fed through a bounded queue, so a fast
 uploader is backpressured by the analyzer and peak memory stays bounded
-by the analysis window, not the trace size.
+by the per-CPU packets the analyzer buffers behind its watermark, not by
+the trace size.
 """
 
 from __future__ import annotations
@@ -133,14 +134,12 @@ class JobTable:
         store: ShardedStore,
         max_concurrency: int = 4,
         use_pool: bool = True,
-        upload_window_ns: Optional[int] = None,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
         self.store = store
         self.max_concurrency = max_concurrency
         self.use_pool = use_pool
-        self.upload_window_ns = upload_window_ns
         self.jobs: Dict[str, Job] = {}
         self._order: List[str] = []
         self._sem = asyncio.Semaphore(max_concurrency)
@@ -266,7 +265,6 @@ class JobTable:
     async def run_upload(
         self,
         pieces: AsyncIterator[bytes],
-        window_ns: Optional[int] = None,
         meta: Optional[Any] = None,
     ) -> Job:
         """Analyze a trace as its bytes arrive; returns the finished job.
@@ -274,8 +272,9 @@ class JobTable:
         The analyzer runs :meth:`StreamingAnalysis.from_byte_stream` on a
         worker thread, fed through a bounded queue: the async side awaits
         each put, so the socket is only read as fast as the analyzer
-        drains — memory stays bounded by the analysis window under any
-        number of concurrent uploads.
+        drains — memory stays bounded by the per-CPU packets each analyzer
+        buffers behind its watermark, under any number of concurrent
+        uploads.
         """
         self._uploads += 1
         job = Job(id=f"upload-{self._uploads:06d}", kind="trace")
@@ -287,14 +286,12 @@ class JobTable:
         async with self._sem:
             job.state = JOB_RUNNING
             self._publish_gauges()
-            if window_ns is None:
-                window_ns = self.upload_window_ns
             q: "queue.Queue[Optional[bytes]]" = queue.Queue(
                 maxsize=UPLOAD_QUEUE_PIECES
             )
             loop = asyncio.get_running_loop()
             future = loop.run_in_executor(
-                self._executor, self._analyze_stream, q, window_ns, meta
+                self._executor, self._analyze_stream, q, meta
             )
             # A transport failure (truncated/oversized body) must not be
             # swallowed into the job: note it, still drain the analyzer
@@ -345,8 +342,7 @@ class JobTable:
             obs.counter("service.jobs_failed").inc()
 
     def _analyze_stream(
-        self, q: "queue.Queue[Optional[bytes]]", window_ns: Optional[int],
-        meta: Optional[Any] = None,
+        self, q: "queue.Queue[Optional[bytes]]", meta: Optional[Any] = None,
     ) -> Any:
         """Worker-thread body: pull byte pieces until the None sentinel."""
         from repro.stream.analysis import StreamingAnalysis
@@ -359,9 +355,7 @@ class JobTable:
                 yield piece
 
         with obs.span("service.upload"):
-            return StreamingAnalysis.from_byte_stream(
-                gen(), meta=meta, window_ns=window_ns
-            )
+            return StreamingAnalysis.from_byte_stream(gen(), meta=meta)
 
     # ------------------------------------------------------------------
     # Lifecycle

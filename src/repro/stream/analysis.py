@@ -11,11 +11,13 @@ Every shared query returns bit-identical results on the same trace
 
 Progress is driven by a per-CPU watermark: each packet raises its CPU's
 watermark to the packet ``end_ts`` (ring-buffer chronology guarantees no
-later record on that CPU precedes it), and records are dispatched in
-canonical global order up to the minimum watermark — at every window
-boundary when ``window_ns`` is set, per packet otherwise.  Until every
-CPU has produced a packet there is no global watermark and records are
-only buffered; feed an on-disk CPU-major file through
+later record on that CPU precedes it), and every record below the minimum
+watermark is processed as one engine block, with or without
+``window_ns``.  Windows are output cuts: the merger slices the sealed
+rows into per-window chunks behind the engine's pending floor, so the
+engine schedule does not depend on them.  Until every CPU has produced a
+packet there is no global watermark and records are only buffered; feed
+an on-disk CPU-major file through
 :func:`~repro.stream.decoder.iter_packets_chronological` (as
 :meth:`analyze_file` does) so the watermark advances steadily.
 """
@@ -105,9 +107,6 @@ class StreamingAnalysis(DerivedQueries):
             self.meta, on_rows=self._merger.add, strict=strict
         )
         self._wm: Dict[int, int] = {}
-        self._next_boundary = (
-            self.start_ts + window_ns if window_ns is not None else None
-        )
         self._finished = False
         self.packets_fed = 0
 
@@ -251,12 +250,8 @@ class StreamingAnalysis(DerivedQueries):
         if self.window_ns is None:
             self._process(wm)
             return
-        while self._next_boundary <= wm:
-            boundary = self._next_boundary
-            self._next_boundary = boundary + self.window_ns
-            index = (boundary - self.start_ts) // self.window_ns - 1
-            with obs.span("stream.window", index=index):
-                self._process(boundary)
+        with obs.span("stream.window"):
+            self._process(wm)
 
     def _process(self, boundary: int) -> None:
         n = len(self._engine.process_to(boundary))

@@ -26,8 +26,10 @@ exactly:
   canonical table order, so the float accumulation order inside a bin is
   exactly the batch ``np.add.at`` order;
 * **window chunks**: per-window :class:`ActivityTable` slices in canonical
-  row order, emitted once the window is sealed.  Concatenating all chunks
-  reproduces the batch table row for row.
+  row order, emitted once the window is sealed.  Windows are output cuts,
+  not engine blocks: each seal sorts the held rows once and slices every
+  window it passes, empty ones included, out of them.  Concatenating all
+  chunks reproduces the batch table row for row.
 """
 
 from __future__ import annotations
@@ -108,20 +110,49 @@ class Moments:
         )
 
 
+class _HeldRows:
+    """Activity rows held for a later cut, with their tie-break numbers.
+
+    :meth:`ordered` sorts the held rows into canonical table order once
+    (they stay in that order); :meth:`keep` then drops the rows a cut
+    used.
+    """
+
+    __slots__ = ("rows", "seq")
+
+    def __init__(self) -> None:
+        self.rows = np.zeros(0, dtype=ACTIVITY_DTYPE)
+        self.seq = np.zeros(0, dtype=np.int64)
+
+    def add(self, rows: np.ndarray, seq: np.ndarray) -> None:
+        self.rows = concat_rows([self.rows, rows])
+        self.seq = np.concatenate([self.seq, seq])
+
+    def ordered(self) -> np.ndarray:
+        """The held rows in canonical table order."""
+        order = canonical_order(self.rows, self.seq)
+        self.rows = take_rows(self.rows, order)
+        self.seq = self.seq[order]
+        return self.rows
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.rows = take_rows(self.rows, mask)
+        self.seq = self.seq[mask]
+
+
 class _TimelineBinner:
     """One noise-per-quantum series, sealed incrementally.
 
     A bin can be sealed once every activity overlapping it has been
     emitted — i.e. when the engine's pending floor has passed the bin end.
-    The binner holds the noise rows that can still reach an unsealed bin,
-    with their tie-break numbers.  A seal puts them in canonical table
-    order and runs the batch kernel
+    The binner holds the noise rows that can still reach an unsealed bin.
+    A seal puts them in canonical table order and runs the batch kernel
     (:func:`~repro.core.analysis.binned_noise_ns`) once over every bin it
     seals, so each bin accumulates the same rows in the same order as the
     batch timeline, bit for bit.
     """
 
-    __slots__ = ("quantum_ns", "t0", "t1", "_parts", "_next", "_rows", "_seq")
+    __slots__ = ("quantum_ns", "t0", "t1", "_parts", "_next", "_held")
 
     def __init__(
         self, quantum_ns: int, t0: int, t1: Optional[int] = None
@@ -133,16 +164,14 @@ class _TimelineBinner:
         self.t1 = t1
         self._parts: List[np.ndarray] = []  # sealed bin values, in order
         self._next = 0  # bins sealed so far
-        self._rows = np.zeros(0, dtype=ACTIVITY_DTYPE)
-        self._seq = np.zeros(0, dtype=np.int64)
+        self._held = _HeldRows()
 
     def add(self, rows: np.ndarray, seq: np.ndarray) -> None:
         """Hold noise rows (caller filters ``is_noise``) and their
         tie-break numbers."""
         # Rows ending at or before the floor touch only sealed bins.
         fresh = rows["end"] > self.t0 + self._next * self.quantum_ns
-        self._rows = concat_rows([self._rows, take_rows(rows, fresh)])
-        self._seq = np.concatenate([self._seq, seq[fresh]])
+        self._held.add(take_rows(rows, fresh), seq[fresh])
 
     def _n_bins(self) -> int:
         return max(1, -(-(self.t1 - self.t0) // self.quantum_ns))
@@ -156,22 +185,19 @@ class _TimelineBinner:
             return
         begin = self.t0 + self._next * self.quantum_ns
         end = self.t0 + n * self.quantum_ns
-        order = canonical_order(self._rows, self._seq)
-        rows = take_rows(self._rows, order)
+        rows = self._held.ordered()
         self._parts.append(binned_noise_ns(
             ActivityTable(rows), self.quantum_ns, begin,
             end if self.t1 is None else min(end, self.t1),
         ))
         self._next = n
-        keep = rows["end"] > end
-        self._rows = take_rows(rows, keep)
-        self._seq = self._seq[order][keep]
+        self._held.keep(rows["end"] > end)
 
     def finish(self, t1: int) -> None:
         if self.t1 is None:
             self.t1 = t1
         self.seal_to(self.t0 + self._n_bins() * self.quantum_ns)
-        self._rows, self._seq = self._rows[:0], self._seq[:0]
+        self._held = _HeldRows()
 
     def result(self) -> np.ndarray:
         # A live stream may have sealed bins past the end finish() set.
@@ -254,9 +280,7 @@ class WindowMerger:
             int(q): _TimelineBinner(int(q), start_ts, end_ts)
             for q in quanta
         }
-        # Rows not chunked yet, with their tie-break numbers.
-        self._chunk_rows = np.zeros(0, dtype=ACTIVITY_DTYPE)
-        self._chunk_seq = np.zeros(0, dtype=np.int64)
+        self._held = _HeldRows()  # rows not chunked yet
         self._boundary = start_ts  # rows with start < this are chunked
         self._finished = False
 
@@ -290,20 +314,16 @@ class WindowMerger:
                 binner.add(rows, row_seq)
 
         if self.window_ns is not None:
-            self._chunk_rows = concat_rows([self._chunk_rows, d])
-            self._chunk_seq = np.concatenate([self._chunk_seq, seq])
+            self._held.add(d, seq)
 
     # ------------------------------------------------------------------
-    def seal_to(self, floor: Optional[int]) -> None:
+    def seal_to(self, floor: int) -> None:
         """Advance sealing to the engine's pending floor: emit every
         window and timeline bin no in-flight activity can still touch."""
-        if floor is None:
-            return
         for binner in self._binners.values():
             binner.seal_to(floor)
         if self.window_ns is not None:
-            while self._boundary + self.window_ns <= floor:
-                self._emit_chunk()
+            self._cut((floor - self._boundary) // self.window_ns)
 
     def finish(self, end_ts: int) -> None:
         if self._finished:
@@ -311,29 +331,32 @@ class WindowMerger:
         self._finished = True
         for binner in self._binners.values():
             binner.finish(end_ts)
-        if self.window_ns is not None:
-            while len(self._chunk_rows):
-                self._emit_chunk()
+        if self.window_ns is not None and len(self._held.rows):
+            last = int(self._held.rows["start"].max())
+            self._cut((last - self._boundary) // self.window_ns + 1)
 
     # ------------------------------------------------------------------
-    def _emit_chunk(self) -> None:
-        b0 = self._boundary
-        b1 = b0 + self.window_ns
-        self._boundary = b1
-        m = self._chunk_rows["start"] < b1
-        take = take_rows(self._chunk_rows, m)
-        seq = self._chunk_seq[m]
-        if len(take):
-            self._chunk_rows = take_rows(self._chunk_rows, ~m)
-            self._chunk_seq = self._chunk_seq[~m]
-        index = (b0 - self.start_ts) // self.window_ns
-        self.windows_emitted += 1
+    def _cut(self, n: int) -> None:
+        """Emit the next ``n`` windows, empty ones included.  Canonical
+        order is start-major, so each window is one slice of the ordered
+        held rows."""
+        if n <= 0:
+            return
+        rows = self._held.ordered()
+        ends = self._boundary + self.window_ns * np.arange(1, n + 1)
+        cuts = rows["start"].searchsorted(ends).tolist()
+        first = (self._boundary - self.start_ts) // self.window_ns
+        self._boundary = int(ends[-1])
+        self.windows_emitted += n
         if obs.enabled():
-            obs.counter("stream.windows").inc()
-            obs.counter("stream.window_rows").inc(len(take))
+            obs.counter("stream.windows").inc(n)
+            obs.counter("stream.window_rows").inc(cuts[-1])
         if self.on_chunk is not None:
-            take = take_rows(take, canonical_order(take, seq))
-            self.on_chunk(index, ActivityTable(take, meta=self.meta))
+            for k, (lo, hi) in enumerate(zip([0] + cuts, cuts)):
+                self.on_chunk(
+                    first + k, ActivityTable(rows[lo:hi], meta=self.meta)
+                )
+        self._held.keep(rows["start"] >= self._boundary)
 
     # ------------------------------------------------------------------
     # Batch-exact query backends (the facade wraps these)

@@ -367,16 +367,6 @@ class TestBatchParity:
             assert out["job"]["state"] == "done"
             assert out["result"]["analyze_text"] == expected
 
-    def test_upload_with_window_matches_unwindowed(self, server):
-        s = spec(seed=4)
-        trace, _meta = s.execute()
-        blob = trace.to_bytes(compress=True)
-        with server.client() as client:
-            plain = client.upload(blob)["result"]
-            windowed = client.upload(blob, window_ns=10 * MSEC)["result"]
-            assert windowed["total_noise_ns"] == plain["total_noise_ns"]
-            assert windowed["events"] == plain["events"]
-
     def test_spec_job_renders_cover_the_cli_surface(self, server):
         with server.client() as client:
             job = client.submit(spec())["job"]
