@@ -12,10 +12,10 @@ answers the questions the paper's tables and figures ask:
 
 The table comes from one :class:`~repro.core.engine.StreamEngine` pass
 that processes the whole trace as one block — the same engine, gap
-handling included, that streaming analysis runs per window.  Everything
-is computed from that columnar :class:`ActivityTable` (``analysis.table``)
-with masked numpy reductions; ``analysis.activities`` is the lazily
-materialized object view for list-shaped consumers.
+handling included, that streaming analysis runs once per watermark
+advance.  Everything is computed from that columnar :class:`ActivityTable`
+(``analysis.table``) with masked numpy reductions; ``analysis.activities``
+is the lazily materialized object view for list-shaped consumers.
 
 Noise totals (``total_noise_ns``, ``breakdown_ns``, ``noise_fraction``,
 ``per_cpu_noise_ns``, ...) are all read from one :class:`NoiseTotals` fold,

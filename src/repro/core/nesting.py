@@ -19,7 +19,8 @@ Both are block kernels with explicit carried state: :func:`pair_block`
 matches one block of records against the open frames an
 :class:`ActivityStackWalker` carries in, and :class:`PreemptionTracker`
 carries the scheduler state machine.  :mod:`repro.core.engine` drives
-them, for a whole trace in batch and once per window in streaming.
+them, for a whole trace in batch and once per watermark advance in
+streaming.
 Nested time subtraction for windows is a ``searchsorted`` + prefix-sum
 over the sorted depth-0 intervals.
 """
