@@ -35,7 +35,6 @@ from repro.core.noise_model import (
 )
 from repro.core.phases import (
     Phase,
-    phase_breakdown,
     phase_stats,
     split_phases,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "NoiseSource",
     "fit_noise_profile",
     "Phase",
-    "phase_breakdown",
     "phase_stats",
     "split_phases",
     "ScalabilityPoint",

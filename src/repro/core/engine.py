@@ -193,7 +193,7 @@ class StreamEngine:
 
         self._kact_seq = 0
         self._window_seq = 0
-        self._cursor: Optional[int] = None
+        self._cursor = 0
         self._finished = False
 
     # ------------------------------------------------------------------
@@ -274,10 +274,7 @@ class StreamEngine:
                 runs.append((cpu, lo, hi, seq0))
                 lo = hi
         if boundary is not None:
-            self._cursor = (
-                boundary if self._cursor is None
-                else max(self._cursor, boundary)
-            )
+            self._cursor = max(self._cursor, boundary)
         if not parts:
             return np.zeros(0, dtype=RECORD_DTYPE)
 
@@ -494,8 +491,9 @@ class StreamEngine:
 
     # ------------------------------------------------------------------
     @property
-    def cursor(self) -> Optional[int]:
-        """Highest processed boundary: every record below it is done."""
+    def cursor(self) -> int:
+        """Highest processed boundary (0 before the first): every record
+        below it is done."""
         return self._cursor
 
     def markers(self) -> np.ndarray:

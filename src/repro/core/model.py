@@ -514,7 +514,3 @@ class TraceMeta:
     def is_application(self, pid: int) -> bool:
         return self.kind_of(pid) == TaskKind.RANK
 
-    def application_pids(self) -> List[int]:
-        return sorted(
-            pid for pid in self.tasks if self.kind_of(pid) == TaskKind.RANK
-        )

@@ -10,16 +10,11 @@ beginning, during initialization").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.analysis import NoiseAnalysis, _resolve_event
-from repro.core.model import (
-    BREAKDOWN_CATEGORIES,
-    CATEGORY_ORDER,
-    NoiseCategory,
-)
 from repro.util.stats import describe_durations
 
 
@@ -89,40 +84,4 @@ def phase_stats(
             self_ns[lo:hi], span_ns=max(1, phase.span_ns), cpus=analysis.ncpus
         )
         out.append((phase, stats))
-    return out
-
-
-def phase_breakdown(
-    analysis: NoiseAnalysis,
-    phases: Optional[Sequence[Phase]] = None,
-) -> "List[tuple]":
-    """Per-phase category totals: how the noise *mix* changes over a run."""
-    if phases is None:
-        phases = split_phases(analysis)
-    d = analysis.table.data
-    noise = d["is_noise"]
-    out = []
-    for phase in phases:
-        totals: Dict[NoiseCategory, int] = {c: 0 for c in BREAKDOWN_CATEGORIES}
-        # Columnar prefilter; the proportional split stays Python-int
-        # arithmetic (arbitrary precision), so totals are exact however
-        # large the timestamps get.
-        m = noise & (d["end"] > phase.start) & (d["start"] < phase.end)
-        sub = d[m]
-        for start, end, total_ns, self_ns, code in zip(
-            sub["start"].tolist(),
-            sub["end"].tolist(),
-            sub["total_ns"].tolist(),
-            sub["self_ns"].tolist(),
-            sub["category"].tolist(),
-        ):
-            overlap = min(end, phase.end) - max(start, phase.start)
-            if overlap <= 0:
-                continue
-            total = total_ns if total_ns > 0 else 1
-            category = CATEGORY_ORDER[code]
-            totals[category] = totals.get(category, 0) + (
-                self_ns * overlap // total
-            )
-        out.append((phase, totals))
     return out

@@ -145,9 +145,6 @@ class SweepPlan:
             ))
         return tuple(shards)
 
-    def token_of(self, spec: RunSpec) -> str:
-        return self._tokens[spec]
-
     @property
     def tokens(self) -> Tuple[str, ...]:
         """Every planned token, in fan-in (first-occurrence) order."""

@@ -4,10 +4,10 @@ Generalizes the flat result-cache directory into a store that scales to
 10k-run sweep campaigns:
 
 * **content-hash-prefix sharding** — every entry lives under a
-  subdirectory named by the first ``prefix_len`` hex digits of its token,
-  so one campaign never piles tens of thousands of files into a single
-  directory (and a remote/object-store backend can map shards to buckets
-  later);
+  subdirectory named by the first :data:`SHARD_PREFIX_LEN` hex digits
+  of its token, so one campaign never piles tens of thousands of files
+  into a single directory (and a remote/object-store backend can map
+  shards to buckets later);
 * **size budgets with mtime-LRU eviction** — ``max_bytes`` caps the
   store's footprint; when a put pushes it over, the least-recently-used
   entries (oldest mtime; hits refresh it) are evicted until under budget;
@@ -31,8 +31,9 @@ Each simulation entry is three files named by the spec's
     <shard>/<token>.spec.json  the spec itself, for debugging/inspection
 
 The token mixes in the package version, so upgrading the simulator
-invalidates every stale entry without any cleanup pass.  Entries written
-by the pre-sharding layout (flat files in the root) are still readable.
+invalidates every stale entry without any cleanup pass.  Only shard
+directories hold entries: a file directly under the root is never read,
+so a run stored there is a miss and is simulated again.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ CACHE_ENV = "LTTNG_NOISE_CACHE"
 
 #: The three files that make up one stored run, in `_paths` order.
 _SUFFIXES = (".lttnz", ".meta.json", ".spec.json")
+
+#: Hex digits of a token that name its shard directory (256 shards).
+SHARD_PREFIX_LEN = 2
 
 
 def default_cache_dir() -> str:
@@ -97,16 +101,12 @@ class ShardedBlobStore:
         self,
         root: str,
         *,
-        prefix_len: int = 2,
         max_bytes: Optional[int] = None,
         durable: bool = False,
     ) -> None:
-        if prefix_len < 1 or prefix_len > 8:
-            raise ValueError("prefix_len must be in 1..8")
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be positive")
         self.root = root
-        self.prefix_len = prefix_len
         self.max_bytes = max_bytes
         self.durable = durable
         self.hits = 0
@@ -136,7 +136,7 @@ class ShardedBlobStore:
     # ------------------------------------------------------------------
     def shard_of(self, token: str) -> str:
         """Shard directory name for a token (its hex-digest prefix)."""
-        return token[: self.prefix_len]
+        return token[:SHARD_PREFIX_LEN]
 
     def token_paths(self, token: str) -> Tuple[str, ...]:
         shard = os.path.join(self.root, self.shard_of(token))
@@ -144,22 +144,14 @@ class ShardedBlobStore:
             os.path.join(shard, token + suffix) for suffix in self.suffixes
         )
 
-    def _legacy_paths(self, token: str) -> Tuple[str, ...]:
-        """Pre-sharding layout: flat files directly under the root."""
-        return tuple(
-            os.path.join(self.root, token + suffix)
-            for suffix in self.suffixes
-        )
-
     def _required(self) -> Tuple[str, ...]:
         return self.required_suffixes or self.suffixes
 
     def locate(self, token: str) -> Optional[Tuple[str, ...]]:
-        """Paths of an existing entry (sharded, else legacy flat), or None."""
-        n = len(self._required())
-        for paths in (self.token_paths(token), self._legacy_paths(token)):
-            if all(os.path.exists(p) for p in paths[:n]):
-                return paths
+        """Paths of an existing entry, or None."""
+        paths = self.token_paths(token)
+        if all(os.path.exists(p) for p in paths[: len(self._required())]):
+            return paths
         return None
 
     # ------------------------------------------------------------------
@@ -202,10 +194,9 @@ class ShardedBlobStore:
     # Enumeration + budget
     # ------------------------------------------------------------------
     def _entry_dirs(self) -> Iterator[str]:
-        """The root (legacy flat entries) plus every shard directory."""
+        """Every shard directory."""
         if not os.path.isdir(self.root):
             return
-        yield self.root
         with os.scandir(self.root) as it:
             for child in it:
                 if child.is_dir():
@@ -296,9 +287,8 @@ class ShardedBlobStore:
             return False
 
     def evict_token(self, token: str) -> None:
-        for paths in (self.token_paths(token), self._legacy_paths(token)):
-            for path in paths:
-                self._unlink_quiet(path)
+        for path in self.token_paths(token):
+            self._unlink_quiet(path)
 
     def clear(self) -> int:
         """Remove every entry (all shards); returns the entries removed."""
@@ -316,11 +306,10 @@ class ShardedBlobStore:
                 if name.endswith(self.suffixes + (".tmp",)):
                     if self._unlink_quiet(path) and name.endswith(primary):
                         removed += 1
-            if directory != self.root:
-                try:
-                    os.rmdir(directory)  # fails (kept) unless empty
-                except OSError:
-                    pass
+            try:
+                os.rmdir(directory)  # fails (kept) unless empty
+            except OSError:
+                pass
         return removed
 
 
@@ -336,13 +325,11 @@ class ShardedStore(ShardedBlobStore):
         root: Optional[str] = None,
         version: Optional[str] = None,
         *,
-        prefix_len: int = 2,
         max_bytes: Optional[int] = None,
         durable: bool = False,
     ) -> None:
         super().__init__(
             root or default_cache_dir(),
-            prefix_len=prefix_len,
             max_bytes=max_bytes,
             durable=durable,
         )

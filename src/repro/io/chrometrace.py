@@ -24,7 +24,6 @@ self-profile uses too.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 from repro.core.model import (
@@ -204,12 +203,3 @@ def export_chrome_trace(
     return write_trace_events(
         path, trace_events(table, meta, timeline=timeline, ncpus=ncpus)
     )
-
-
-def read_chrome_trace(path: str) -> List[dict]:
-    """Load back an exported trace (validation aid)."""
-    with open(path) as fp:
-        data = json.load(fp)
-    if not isinstance(data, dict) or "traceEvents" not in data:
-        raise ValueError("not a Chrome trace-event file")
-    return data["traceEvents"]

@@ -18,7 +18,7 @@ column.
 from __future__ import annotations
 
 import csv
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -64,31 +64,6 @@ def activities_to_csv(path: str, table: ActivityTable) -> int:
         writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)
     return len(table)
-
-
-def read_activities_csv(path: str) -> List[dict]:
-    """Read back an activities CSV (validation/testing aid)."""
-    with open(path, newline="") as fp:
-        reader = csv.DictReader(fp)
-        rows = []
-        for row in reader:
-            rows.append(
-                {
-                    "start": int(row["start"]),
-                    "end": int(row["end"]),
-                    "cpu": int(row["cpu"]),
-                    "pid": int(row["pid"]),
-                    "event": int(row["event"]),
-                    "name": row["name"],
-                    "category": row["category"],
-                    "total_ns": int(row["total_ns"]),
-                    "self_ns": int(row["self_ns"]),
-                    "depth": int(row["depth"]),
-                    "is_noise": bool(int(row["is_noise"])),
-                    "truncated": bool(int(row["truncated"])),
-                }
-            )
-        return rows
 
 
 def activity_arrays(table: ActivityTable) -> Dict[str, np.ndarray]:

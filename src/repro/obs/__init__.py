@@ -61,7 +61,6 @@ from repro.obs.timeseries import (
     merge_samples,
     sample_file_path,
     sample_files_in,
-    series_from_samples,
 )
 
 __all__ = [
@@ -71,10 +70,9 @@ __all__ = [
     "drain_snapshot", "enable", "enabled", "gauge", "histogram",
     "load_sample_dir", "load_sample_file", "maybe_start_worker_sampler",
     "merge_samples", "merge_snapshot", "prometheus_text", "reset",
-    "sample_file_path", "sample_files_in", "series_from_samples",
-    "snapshot", "span", "stop_worker_sampler", "write_chrome_trace",
-    "write_jsonl", "DEFAULT_BUCKETS", "NOOP", "OBS_ENV",
-    "OBS_SAMPLE_ENV", "OBS_SPILL_ENV",
+    "sample_file_path", "sample_files_in", "snapshot", "span",
+    "stop_worker_sampler", "write_chrome_trace", "write_jsonl",
+    "DEFAULT_BUCKETS", "NOOP", "OBS_ENV", "OBS_SAMPLE_ENV", "OBS_SPILL_ENV",
 ]
 
 

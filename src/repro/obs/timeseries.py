@@ -204,14 +204,3 @@ def load_sample_dir(directory: str) -> List[Sample]:
     return merge_samples(
         *(load_sample_file(path) for path in sample_files_in(directory))
     )
-
-
-def series_from_samples(samples: Iterable[Sample],
-                        key: str) -> List["tuple[int, float]"]:
-    """One metric's ``(mono_ns, value)`` trajectory across samples."""
-    out = []
-    for sample in samples:
-        value = sample.get("metrics", {}).get(key)
-        if value is not None:
-            out.append((int(sample["mono_ns"]), float(value)))
-    return out

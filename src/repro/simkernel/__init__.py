@@ -11,7 +11,6 @@ from repro.simkernel.distributions import (
     Bimodal,
     Constant,
     DurationModel,
-    Exponential,
     Mixture,
     ShiftedLogNormal,
     Uniform,
@@ -29,7 +28,6 @@ __all__ = [
     "Bimodal",
     "Constant",
     "DurationModel",
-    "Exponential",
     "Mixture",
     "ShiftedLogNormal",
     "Uniform",

@@ -249,30 +249,3 @@ class Empirical(DurationModel):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Empirical n={self.samples.size} mean={self.mean():.0f}ns>"
-
-
-@dataclass(frozen=True)
-class Exponential:
-    """Exponential inter-arrival model (a Poisson event process).
-
-    ``rate_per_sec`` may be fractional; a rate of zero means "never".
-    """
-
-    rate_per_sec: float
-
-    def __post_init__(self) -> None:
-        if self.rate_per_sec < 0:
-            raise ValueError("rate must be non-negative")
-
-    def sample_gap(self, rng: np.random.Generator) -> "int | None":
-        """Next inter-arrival gap in nanoseconds, or None if rate is zero."""
-        if self.rate_per_sec == 0:
-            return None
-        gap_sec = rng.exponential(1.0 / self.rate_per_sec)
-        return max(1, int(gap_sec * 1e9))
-
-    def mean_gap_ns(self) -> float:
-        if self.rate_per_sec == 0:
-            return math.inf
-        return 1e9 / self.rate_per_sec
-

@@ -256,16 +256,14 @@ class StreamingAnalysis(DerivedQueries):
     def _process(self, boundary: int) -> None:
         n = len(self._engine.process_to(boundary))
         floor = self._engine.cursor
-        if floor is not None:
-            pending = self._engine.pending_floor()
-            if pending is not None and pending < floor:
-                floor = pending
-            self._merger.seal_to(floor)
+        pending = self._engine.pending_floor()
+        if pending is not None and pending < floor:
+            floor = pending
+        self._merger.seal_to(floor)
         if obs.enabled():
             if n:
                 obs.counter("stream.records").inc(n)
-            if floor is not None:
-                obs.gauge("stream.floor_ns").set(floor)
+            obs.gauge("stream.floor_ns").set(floor)
             self._obs_flush()
 
     def _on_chunk(self, index: int, table: ActivityTable) -> None:

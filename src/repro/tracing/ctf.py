@@ -110,15 +110,6 @@ class Trace:
         merged = np.concatenate([p.records() for p in self.packets])
         return merged[np.argsort(merged["time"], kind="stable")]
 
-    def cpu_records(self, cpu: int) -> np.ndarray:
-        """One CPU's records in timestamp order."""
-        parts = [p.records() for p in self.packets if p.cpu == cpu]
-        if not parts:
-            return np.empty(0, dtype=RECORD_DTYPE)
-        merged = np.concatenate(parts)
-        order = np.argsort(merged["time"], kind="stable")
-        return merged[order]
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------

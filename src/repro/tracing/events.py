@@ -122,19 +122,6 @@ RECORD_DTYPE = np.dtype(
 assert RECORD_DTYPE.itemsize == RECORD_SIZE, "record dtype must be packed"
 
 
-def pack_record(
-    time: int, event: int, cpu: int, flag: int, pid: int, arg: int
-) -> bytes:
-    """Serialize one record.  The ring-buffer writer packs with
-    :data:`RECORD_STRUCT` directly; this is the one-record form."""
-    return RECORD_STRUCT.pack(time, event, cpu, flag, pid, arg)
-
-
-def unpack_record(data: bytes) -> "Tuple[int, int, int, int, int, int]":
-    """Deserialize one record."""
-    return RECORD_STRUCT.unpack(data)
-
-
 # ----------------------------------------------------------------------
 # Argument encoding helpers for point events
 # ----------------------------------------------------------------------
@@ -168,11 +155,6 @@ def encode_migrate(pid: int, dest_cpu: int) -> int:
     if not 0 <= dest_cpu < 256:
         raise ValueError("dest_cpu must fit in 8 bits")
     return (pid << 8) | dest_cpu
-
-
-def decode_migrate(arg: int) -> "Tuple[int, int]":
-    """Unpack a migration argument into ``(pid, dest_cpu)``."""
-    return (int(arg) >> 8, int(arg) & 0xFF)
 
 
 class TraceSink:

@@ -8,7 +8,7 @@ from repro.util.units import (
     fmt_ns,
     parse_duration,
 )
-from repro.util.stats import DurationStats, describe_durations, event_rate
+from repro.util.stats import DurationStats, describe_durations
 from repro.util.rng import make_rng, spawn_rngs
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "parse_duration",
     "DurationStats",
     "describe_durations",
-    "event_rate",
     "make_rng",
     "spawn_rngs",
 ]

@@ -8,7 +8,7 @@ duration in nanoseconds.  :class:`DurationStats` is that row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,25 +85,3 @@ def describe_durations(
         std=float(arr.std()),
         total=int(arr.sum()),
     )
-
-
-def event_rate(count: int, span_ns: int, cpus: int = 1) -> float:
-    """Events per CPU-second over a window of ``span_ns`` nanoseconds."""
-    if span_ns <= 0:
-        raise ValueError("span_ns must be positive")
-    return count / (span_ns / SEC) / cpus
-
-
-def percentile_cut(
-    durations_ns: "Iterable[int] | np.ndarray", pct: float = 99.0
-) -> np.ndarray:
-    """Drop the distribution tail above the given percentile.
-
-    The paper cuts every histogram at the 99th percentile "to improve the
-    visualization" (footnote 3); this reproduces that trim.
-    """
-    arr = np.asarray(list(durations_ns) if not isinstance(durations_ns, np.ndarray) else durations_ns)
-    if arr.size == 0:
-        return arr
-    cut = np.percentile(arr, pct)
-    return arr[arr <= cut]

@@ -20,12 +20,8 @@ from repro.workloads.profiles import (
     SequoiaProfile,
     TableRow,
 )
-from repro.workloads.sequoia import SequoiaWorkload, make_workload
-from repro.workloads.synthetic import (
-    BSPWorkload,
-    ComputeBoundWorkload,
-    SpinProgram,
-)
+from repro.workloads.sequoia import SequoiaWorkload
+from repro.workloads.synthetic import BSPWorkload, SpinProgram
 
 __all__ = [
     "IoChatter",
@@ -47,8 +43,6 @@ __all__ = [
     "SequoiaProfile",
     "TableRow",
     "SequoiaWorkload",
-    "make_workload",
     "BSPWorkload",
-    "ComputeBoundWorkload",
     "SpinProgram",
 ]

@@ -18,25 +18,16 @@ from typing import List, Optional
 
 from repro.core.analysis import NoiseAnalysis
 from repro.core.compare import FtqComparison, compare_ftq
-from repro.simkernel.node import ComputeNode, RankProgram
+from repro.simkernel.node import ComputeNode
 from repro.simkernel.task import Task, TaskKind
 from repro.workloads.base import IoChatter, Workload
 from repro.workloads.profiles import FTQ_MACHINE, SequoiaProfile
+from repro.workloads.synthetic import SpinProgram
 from repro.util.units import MSEC, USEC
 
 #: Default FTQ parameters: 1 ms quantum, 1 us basic operation.
 DEFAULT_QUANTUM_NS = 1 * MSEC
 DEFAULT_OP_NS = 1 * USEC
-
-
-class _SpinProgram(RankProgram):
-    """FTQ's compute side: uninterrupted user-mode work, forever."""
-
-    def __init__(self, chunk_ns: int = 10 * MSEC) -> None:
-        self.chunk_ns = chunk_ns
-
-    def step(self, node: ComputeNode, task: Task) -> None:
-        node.continue_compute(task, self.chunk_ns)
 
 
 class FTQWorkload(Workload):
@@ -70,7 +61,7 @@ class FTQWorkload(Workload):
     def install(self, node: ComputeNode) -> List[Task]:
         from repro.simkernel.distributions import from_stats
 
-        self.rank = node.spawn_rank("ftq", self.cpu, _SpinProgram())
+        self.rank = node.spawn_rank("ftq", self.cpu, SpinProgram())
         node.mm.set_fault_model(self.rank, self.profile.fault_model_or_default())
         node.mm.set_fault_rate(self.rank, self.profile.phases[0].fault_rate)
         # The eventd daemon pinned near the FTQ cpu, as in Fig. 1b's

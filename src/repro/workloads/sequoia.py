@@ -221,8 +221,3 @@ class SequoiaWorkload(Workload):
                 cpu="random",
             )
         return self.ranks
-
-
-def make_workload(name: str, nominal_ns: int = 10_000_000_000) -> SequoiaWorkload:
-    """Factory for a Sequoia workload by benchmark name."""
-    return SequoiaWorkload(name, nominal_ns=nominal_ns)

@@ -2,10 +2,10 @@
 
 Unlike the Sequoia models (calibrated to reproduce the paper's case study),
 these are *instruments*: a bulk-synchronous application with a chosen
-granularity whose iteration times can be read back directly, and a pure
-compute-bound spinner.  They drive the noise-injection sensitivity
-experiments (how much does iteration time dilate under a given noise
-profile?) and the cluster study.
+granularity whose iteration times can be read back directly, and
+:class:`SpinProgram`, the uninterrupted user-mode rank that FTQ runs.
+They drive the noise-injection sensitivity experiments (how much does
+iteration time dilate under a given noise profile?) and the cluster study.
 """
 
 from __future__ import annotations
@@ -31,34 +31,6 @@ class SpinProgram(RankProgram):
 
     def step(self, node: ComputeNode, task: Task) -> None:
         node.continue_compute(task, self.chunk_ns)
-
-
-class ComputeBoundWorkload(Workload):
-    """One spinner rank per CPU; progress = user CPU time accumulated."""
-
-    name = "spin"
-
-    def __init__(self, chunk_ns: int = 10_000_000, fault_rate: float = 0.0) -> None:
-        self.chunk_ns = chunk_ns
-        self.fault_rate = fault_rate
-        self.ranks: List[Task] = []
-
-    def build_node(self, seed: int = 0, ncpus: int = 8) -> ComputeNode:
-        return ComputeNode(NodeConfig(ncpus=ncpus, seed=seed))
-
-    def install(self, node: ComputeNode) -> List[Task]:
-        program = SpinProgram(self.chunk_ns)
-        self.ranks = [
-            node.spawn_rank(f"spin.{i}", i, program)
-            for i in range(node.config.ncpus)
-        ]
-        for task in self.ranks:
-            node.mm.set_fault_rate(task, self.fault_rate)
-        return self.ranks
-
-    def progress_ns(self) -> int:
-        """Total user CPU time all ranks managed to execute."""
-        return sum(t.total_cpu_ns for t in self.ranks)
 
 
 class _BSPProgram(RankProgram):

@@ -9,12 +9,12 @@ from repro.core.timeline import TaskTimeline
 from repro.io.chrometrace import (
     activities_to_events,
     export_chrome_trace,
-    read_chrome_trace,
     timeline_to_events,
 )
 from repro.simkernel.task import TaskState
 from repro.tracing.events import Ev
 from repro.util.units import SEC
+from readers import read_chrome_trace
 from recbuild import RANK, RecordBuilder, meta
 
 

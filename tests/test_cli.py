@@ -152,7 +152,7 @@ class TestExportChrome:
              str(tmp_path / "t.json")]
         )
         assert rc == 0
-        from repro.io import read_chrome_trace
+        from readers import read_chrome_trace
 
         assert read_chrome_trace(str(tmp_path / "t.json"))
 
@@ -225,7 +225,8 @@ class TestTraceMetaSerialization:
         back = TraceMeta.from_json(meta.to_json())
         assert back.name_of(1000) == "amg.0"
         assert back.kind_of(102) == TaskKind.TRACERD
-        assert back.application_pids() == [1000]
+        assert back.is_application(1000)
+        assert not back.is_application(102)
 
     def test_file_roundtrip(self, tmp_path):
         meta = TraceMeta({5: TaskInfo(5, "x", TaskKind.UDAEMON)})

@@ -1,7 +1,5 @@
 """Unit + property tests for the duration/interval distributions."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from repro.simkernel.distributions import (
     Bimodal,
     Constant,
-    Exponential,
     Mixture,
     ShiftedLogNormal,
     Uniform,
@@ -139,21 +136,6 @@ class TestFromStats:
             from_stats(100, 50, 200)
         with pytest.raises(ValueError):
             from_stats(0, 50, 200)
-
-
-class TestExponential:
-    def test_mean_gap(self, rng):
-        model = Exponential(100.0)
-        gaps = np.array([model.sample_gap(rng) for _ in range(20_000)])
-        assert gaps.mean() == pytest.approx(1e7, rel=0.05)
-
-    def test_zero_rate_never_fires(self, rng):
-        assert Exponential(0.0).sample_gap(rng) is None
-        assert math.isinf(Exponential(0.0).mean_gap_ns())
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Exponential(-1.0)
 
 
 # ----------------------------------------------------------------------

@@ -75,6 +75,16 @@ GOLDEN = {
         "3ca652d5e1007e13b0bf7b9190593dcbefd77a3a3c2809e73d165e6c0abf68ab",
         6515, 0,
     ),
+    ("FTQ", 1): (
+        "a3d9ffae4fb524c3fd7cdee3b9ac80e0ee9cf0bc29cf273ddfea08d43dbad64a",
+        "f84d84599cf873c33ee1cdc0238138c218d1da1787e58d008e57524f256b7d95",
+        334, 0,
+    ),
+    ("FTQ", 2): (
+        "eefca0478b287918bacaa0b36303c1cdb88e0a3dd876467e677456e4396bec11",
+        "ae6d3860984164def8502514ab63db6360f6c0ceca6c3d45b7e62044858aecf1",
+        327, 0,
+    ),
 }
 
 #: AMG seed 1 on a two-sub-buffer ring of 64 records per CPU: the ring

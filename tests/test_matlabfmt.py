@@ -8,10 +8,10 @@ from repro.io.matlabfmt import (
     activities_to_csv,
     activity_arrays,
     export_npz,
-    read_activities_csv,
 )
 from repro.tracing.events import Ev
 from repro.util.units import SEC
+from readers import read_activities_csv
 from recbuild import RecordBuilder, meta
 
 

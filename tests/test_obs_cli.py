@@ -83,7 +83,7 @@ class TestObsExport:
         chrome = str(tmp_path / "t.json")
         assert main(["obs", "export", path, "--format", "chrome",
                      "-o", chrome]) == 0
-        from repro.io import read_chrome_trace
+        from readers import read_chrome_trace
 
         events = read_chrome_trace(chrome)
         assert any(e["ph"] == "X" and e["name"] == "simulate"

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core import NoiseAnalysis
-from repro.core.phases import phase_breakdown, phase_stats, split_phases
-from repro.core.model import NoiseCategory
+from repro.core.phases import phase_stats, split_phases
 from repro.tracing.events import Ev, Flag
 from recbuild import RANK, RecordBuilder, meta
 
@@ -62,13 +61,12 @@ class TestPhaseStats:
 
     def test_breakdown_mix_shifts(self):
         analysis = with_markers()
-        rows = phase_breakdown(analysis)
-        _, mid = rows[1]
-        _, late = rows[2]
-        assert mid[NoiseCategory.PAGE_FAULT] == 500
-        assert mid[NoiseCategory.PERIODIC] == 0
-        assert late[NoiseCategory.PERIODIC] == 50
-        assert late[NoiseCategory.PAGE_FAULT] == 0
+        faults = phase_stats(analysis, "page_fault")
+        ticks = phase_stats(analysis, "timer_interrupt")
+        assert faults[1][1].total == 500
+        assert ticks[1][1].total == 0
+        assert ticks[2][1].total == 50
+        assert faults[2][1].total == 0
 
 
 class TestOnLammps:

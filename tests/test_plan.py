@@ -96,8 +96,7 @@ class TestSweepPlan:
         rest of the submission — stable across runs and hosts."""
         full = SweepPlan([spec(s) for s in range(20)], shards=4)
         subset = SweepPlan([spec(s) for s in range(0, 20, 3)], shards=4)
-        for s in subset.specs:
-            token = subset.token_of(s)
+        for token in subset.tokens:
             assert subset.shard_index(token) == full.shard_index(token)
 
     def test_shards_are_token_ordered_and_disjoint(self):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import NoiseAnalysis, NoiseCategory, TraceMeta
 from repro.util.units import SEC
-from repro.workloads import SEQUOIA_PROFILES, SequoiaWorkload, make_workload
+from repro.workloads import SEQUOIA_PROFILES, SequoiaWorkload
 
 
 class TestConstruction:
@@ -17,11 +17,11 @@ class TestConstruction:
         assert set(SEQUOIA_PROFILES) == {"AMG", "IRS", "LAMMPS", "SPHOT", "UMT"}
 
     def test_factory_accepts_lowercase(self):
-        assert make_workload("amg").name == "AMG"
+        assert SequoiaWorkload("amg").name == "AMG"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            make_workload("HPL")
+            SequoiaWorkload("HPL")
 
     def test_install_creates_one_rank_per_cpu(self):
         wl = SequoiaWorkload("SPHOT")

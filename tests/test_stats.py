@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.util.stats import (
-    DurationStats,
-    describe_durations,
-    event_rate,
-    percentile_cut,
-)
+from repro.core.histogram import duration_histogram
+from repro.util.stats import DurationStats, describe_durations
 from repro.util.units import SEC
 
 
@@ -47,28 +43,36 @@ class TestDescribeDurations:
 
 
 class TestEventRate:
+    """The ``freq`` column is events per CPU-second of the window."""
+
     def test_rate(self):
-        assert event_rate(50, SEC, cpus=1) == pytest.approx(50.0)
-        assert event_rate(800, SEC, cpus=8) == pytest.approx(100.0)
+        assert describe_durations([1] * 50, SEC).freq == pytest.approx(50.0)
+        assert describe_durations([1] * 800, SEC, cpus=8).freq == (
+            pytest.approx(100.0)
+        )
 
     def test_fractional_span(self):
-        assert event_rate(5, SEC // 2) == pytest.approx(10.0)
+        assert describe_durations([1] * 5, SEC // 2).freq == pytest.approx(10.0)
 
     def test_rejects_bad_span(self):
         with pytest.raises(ValueError):
-            event_rate(1, 0)
+            describe_durations([1], span_ns=-1)
 
 
 class TestPercentileCut:
+    """The paper's 99th-percentile histogram trim (footnote 3)."""
+
     def test_cuts_tail(self):
         values = list(range(1, 101)) + [10_000]
-        kept = percentile_cut(values, 99.0)
-        assert 10_000 not in kept
-        assert len(kept) >= 99
+        hist = duration_histogram(values, cut_pct=99.0)
+        assert hist.edges[-1] < 10_000
+        assert hist.n_total == 101
+        assert 99 <= hist.n_kept < 101
 
     def test_empty(self):
-        assert percentile_cut([]).size == 0
+        hist = duration_histogram([])
+        assert hist.n_kept == 0 and int(hist.counts.sum()) == 0
 
     def test_keeps_all_at_100(self):
-        values = [1, 2, 3, 1000]
-        assert len(percentile_cut(values, 100.0)) == 4
+        hist = duration_histogram([1, 2, 3, 1000], cut_pct=100.0)
+        assert hist.n_kept == 4 and int(hist.counts.sum()) == 4

@@ -1,6 +1,6 @@
 """Tests for the sharded on-disk result store (repro.exec.store).
 
-Covers: hash-prefix shard layout, legacy flat-layout readback, size
+Covers: hash-prefix shard layout (files flat in the root are a miss), size
 budgets with mtime-LRU eviction, durable atomic writes, and enumeration/
 clearing across shards.  The hit/miss/corruption contract shared with the
 old flat cache stays covered by tests/test_exec.py's TestResultStore.
@@ -31,7 +31,7 @@ def executed():
 class TestShardLayout:
     def test_entries_land_in_token_prefix_shards(self, tmp_path, executed):
         s, trace, meta = executed
-        store = ShardedStore(str(tmp_path), prefix_len=2)
+        store = ShardedStore(str(tmp_path))
         store.put(s, trace, meta)
         token = store.token(s)
         shard_dir = tmp_path / token[:2]
@@ -42,21 +42,18 @@ class TestShardLayout:
         # Nothing piles up flat in the root.
         assert not any(p.is_file() for p in tmp_path.iterdir())
 
-    def test_prefix_len_bounds(self, tmp_path):
-        with pytest.raises(ValueError):
-            ShardedStore(str(tmp_path), prefix_len=0)
-        with pytest.raises(ValueError):
-            ShardedStore(str(tmp_path), prefix_len=9)
-
-    def test_legacy_flat_entries_still_readable(self, tmp_path, executed):
-        """Entries written by the pre-sharding layout serve as hits."""
+    def test_flat_root_files_are_a_miss(self, tmp_path, executed):
+        """Only shard directories hold entries: a run stored flat in the
+        root is never read, so it is simulated and stored again."""
         s, trace, meta = executed
         store = ShardedStore(str(tmp_path))
         token = store.token(s)
-        os.makedirs(tmp_path, exist_ok=True)
         trace.to_file(str(tmp_path / f"{token}.lttnz"), compress=True)
         meta.to_file(str(tmp_path / f"{token}.meta.json"))
-        assert store.contains(s)
+        assert not store.contains(s)
+        assert store.get(s) is None and store.misses == 1
+        assert store.entries() == []
+        store.put(s, *s.execute())
         hit = store.get(s)
         assert hit is not None
         assert hit[0].to_bytes() == trace.to_bytes()
@@ -141,7 +138,7 @@ class TestDurability:
 
 
 class TestEnumeration:
-    def test_entries_span_shards_and_legacy(self, tmp_path):
+    def test_entries_span_shards(self, tmp_path):
         store = ShardedStore(str(tmp_path))
         tokens = set()
         for seed in range(3):

@@ -1,29 +1,33 @@
-"""Unit tests for the synthetic workloads (BSP + compute-bound)."""
+"""Unit tests for the synthetic workloads (BSP + the spin rank program)."""
 
 import pytest
 
+from repro.simkernel.config import NodeConfig
 from repro.simkernel.injection import inject
+from repro.simkernel.node import ComputeNode
 from repro.util.units import MSEC, SEC, USEC
-from repro.workloads.synthetic import (
-    BSPWorkload,
-    ComputeBoundWorkload,
-    SpinProgram,
-)
+from repro.workloads.synthetic import BSPWorkload, SpinProgram
+
+
+def spin_node(ncpus, fault_rate=0.0):
+    """A node running one :class:`SpinProgram` rank per CPU."""
+    node = ComputeNode(NodeConfig(ncpus=ncpus, seed=1))
+    program = SpinProgram()
+    ranks = [node.spawn_rank(f"spin.{i}", i, program) for i in range(ncpus)]
+    for task in ranks:
+        node.mm.set_fault_rate(task, fault_rate)
+    return node, ranks
 
 
 class TestComputeBound:
     def test_progress_accumulates(self):
-        wl = ComputeBoundWorkload()
-        node = wl.build_node(seed=1, ncpus=2)
-        wl.install(node)
+        node, ranks = spin_node(2)
         node.run(500 * MSEC)
         # Nearly all CPU time is user compute (tiny kernel share).
-        assert wl.progress_ns() > 0.97 * 2 * 500 * MSEC
+        assert sum(t.total_cpu_ns for t in ranks) > 0.97 * 2 * 500 * MSEC
 
     def test_fault_rate_applied(self):
-        wl = ComputeBoundWorkload(fault_rate=500)
-        node = wl.build_node(seed=1, ncpus=1)
-        wl.install(node)
+        node, _ = spin_node(1, fault_rate=500)
         node.run(500 * MSEC)
         assert node.mm.fault_count > 100
 

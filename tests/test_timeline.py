@@ -134,7 +134,7 @@ class TestOnRealTrace:
     def test_consistency_with_blocked_accounting(self, ftq_run):
         node, trace, m = ftq_run
         tl = TaskTimeline(trace.records(), meta=m, end_ts=trace.end_ts)
-        rank_pid = m.application_pids()[0]
+        rank_pid = min(pid for pid in m.tasks if m.is_application(pid))
         blocked = tl.blocked_times(rank_pid)
         # FTQ rarely blocks (only its sparse NFS ops).
         assert tl.occupancy(rank_pid).get(TaskState.BLOCKED, 0.0) < 0.05
