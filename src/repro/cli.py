@@ -55,13 +55,28 @@ from repro.workloads import (
 )
 
 
-def _load(trace_path: str, meta_path: Optional[str]) -> "tuple[Trace, TraceMeta]":
-    trace = Trace.from_file(trace_path)
+def _known_workload(name: str, given: str) -> bool:
+    """True if ``name`` is FTQ or a Sequoia benchmark; otherwise print the
+    choices, naming the workload as ``given``."""
+    if name == "FTQ" or name in SEQUOIA_PROFILES:
+        return True
+    choices = ["FTQ"] + sorted(SEQUOIA_PROFILES)
+    print(f"unknown workload {given!r}; choose from {choices}",
+          file=sys.stderr)
+    return False
+
+
+def _load_meta(trace_path: str, meta_path: Optional[str]) -> TraceMeta:
+    """``meta_path``, else the ``.meta.json`` sidecar next to the trace,
+    else empty metadata."""
     if meta_path is None:
         candidate = os.path.splitext(trace_path)[0] + ".meta.json"
         meta_path = candidate if os.path.exists(candidate) else None
-    meta = TraceMeta.from_file(meta_path) if meta_path else TraceMeta()
-    return trace, meta
+    return TraceMeta.from_file(meta_path) if meta_path else TraceMeta()
+
+
+def _load(trace_path: str, meta_path: Optional[str]) -> "tuple[Trace, TraceMeta]":
+    return Trace.from_file(trace_path), _load_meta(trace_path, meta_path)
 
 
 def _analysis(args) -> NoiseAnalysis:
@@ -80,15 +95,12 @@ def cmd_record(args) -> int:
 
     name = args.workload.upper()
     duration = parse_duration(args.duration)
+    if not _known_workload(name, args.workload):
+        return 2
     if name == "FTQ":
         workload = FTQWorkload()
-    elif name in SEQUOIA_PROFILES:
-        workload = SequoiaWorkload(name, nominal_ns=duration)
     else:
-        choices = ["FTQ"] + sorted(SEQUOIA_PROFILES)
-        print(f"unknown workload {args.workload!r}; choose from {choices}",
-              file=sys.stderr)
-        return 2
+        workload = SequoiaWorkload(name, nominal_ns=duration)
     node = workload.build_node(seed=args.seed, ncpus=args.ncpus)
     overrides = {}
     if args.hz is not None:
@@ -185,11 +197,7 @@ def cmd_analyze(args) -> int:
     if args.stream:
         from repro.stream import StreamingAnalysis
 
-        meta_path = args.meta
-        if meta_path is None:
-            candidate = os.path.splitext(args.trace)[0] + ".meta.json"
-            meta_path = candidate if os.path.exists(candidate) else None
-        meta = TraceMeta.from_file(meta_path) if meta_path else TraceMeta()
+        meta = _load_meta(args.trace, args.meta)
 
         def on_chunk(index: int, table) -> None:
             if not args.windows:
@@ -430,13 +438,15 @@ def _write_sweep_summary(path, name, duration, seeds, args, sweep,
 
 def cmd_sweep(args) -> int:
     from repro.core.sweep import SeedSweep
-    from repro.exec import RunSpec, ShardedStore
+    from repro.exec import (
+        LocalPoolBackend,
+        RunSpec,
+        SerialBackend,
+        ShardedStore,
+    )
 
     name = args.workload.upper()
-    if name != "FTQ" and name not in SEQUOIA_PROFILES:
-        choices = ["FTQ"] + sorted(SEQUOIA_PROFILES)
-        print(f"unknown workload {args.workload!r}; choose from {choices}",
-              file=sys.stderr)
+    if not _known_workload(name, args.workload):
         return 2
     duration = parse_duration(args.duration)
     try:
@@ -484,6 +494,13 @@ def cmd_sweep(args) -> int:
             return 2
         print(plan.describe(), file=sys.stderr)
 
+    # A pool only pays off with two workers and two distinct runs.
+    workers = min(args.workers or os.cpu_count() or 1, len(set(seeds)))
+    backend = (
+        LocalPoolBackend(workers) if not args.serial and workers > 1
+        else SerialBackend()
+    )
+
     def progress(done, total, spec, cached, elapsed) -> None:
         how = "cache" if cached else f"{elapsed:.2f}s"
         print(f"[{done}/{total}] {spec.workload} seed {spec.seed}: {how}",
@@ -495,8 +512,7 @@ def cmd_sweep(args) -> int:
             duration,
             seeds,
             ncpus=args.ncpus,
-            parallel=not args.serial,
-            max_workers=args.workers,
+            backend=backend,
             cache=cache,
             progress=progress,
             plan=plan,
@@ -539,10 +555,7 @@ def cmd_selftrace(args) -> int:
         with open(args.config) as fp:
             config = json_mod.load(fp)
     name = str(args.workload or config.get("workload", "FTQ")).upper()
-    if name != "FTQ" and name not in SEQUOIA_PROFILES:
-        choices = ["FTQ"] + sorted(SEQUOIA_PROFILES)
-        print(f"unknown workload {name!r}; choose from {choices}",
-              file=sys.stderr)
+    if not _known_workload(name, name):
         return 2
     duration = parse_duration(
         str(args.duration or config.get("duration", "1s"))

@@ -10,7 +10,6 @@ confidence interval).  EXPERIMENTS.md's tolerances were picked with this.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -85,8 +84,6 @@ class SeedSweep:
         seeds: Sequence[int],
         ncpus: int = 8,
         *,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
         cache: Optional["object"] = None,
         progress: Optional[Callable] = None,
         backend: Optional["object"] = None,
@@ -96,9 +93,12 @@ class SeedSweep:
 
         ``workload`` is a name resolvable by :mod:`repro.exec` (``"FTQ"``,
         a Sequoia benchmark, a :func:`~repro.exec.register_workload` name,
-        ``"module:attr"``).  With ``parallel=True`` the runs fan out across
-        a process pool; results are bit-identical to the serial path
-        because each run is deterministic in its spec.  ``cache`` (a
+        ``"module:attr"``).  ``backend`` (a
+        :class:`repro.exec.DispatchBackend`) is where specs execute:
+        in-process by default, or a
+        :class:`repro.exec.LocalPoolBackend` to fan out across a process
+        pool; results are bit-identical either way because each run is
+        deterministic in its spec.  ``cache`` (a
         :class:`repro.exec.ShardedStore`) lets repeat sweeps skip
         simulation entirely.
 
@@ -106,11 +106,7 @@ class SeedSweep:
         ``plan`` (a saved, journaled :class:`repro.exec.SweepPlan`) lets
         the sweep be interrupted and resumed — see
         ``docs/sweep-orchestration.md``; without one, the specs form an
-        unjournaled one-shard plan that writes no file.  ``backend`` (a
-        :class:`repro.exec.DispatchBackend`) overrides where specs
-        execute; by default a process pool when ``parallel`` and more
-        than one worker, else in-process.  All of these produce
-        bit-identical analyses.
+        unjournaled one-shard plan that writes no file.
 
         Each unique spec is analysed once: a seed repeated in ``seeds``
         keeps its position in :attr:`analyses` (and in every
@@ -118,15 +114,8 @@ class SeedSweep:
         :class:`~repro.core.analysis.NoiseAnalysis`, which callers must
         treat as read-only.
         """
-        from repro.exec import (
-            LocalPoolBackend,
-            RunSpec,
-            SerialBackend,
-            SweepPlan,
-        )
+        from repro.exec import RunSpec, SerialBackend, SweepPlan
 
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
         specs = [
             RunSpec.make(workload, duration_ns, int(seed), ncpus)
             for seed in seeds
@@ -139,12 +128,7 @@ class SeedSweep:
                 "re-plan or fix the arguments"
             )
         if backend is None:
-            workers = min(max_workers or os.cpu_count() or 1,
-                          len(plan.specs))
-            backend = (
-                LocalPoolBackend(workers) if parallel and workers > 1
-                else SerialBackend()
-            )
+            backend = SerialBackend()
         if progress is None and obs.enabled():
             # Observed long sweeps heartbeat by default (rate-limited).
             hb = obs.Heartbeat("runner", total=len(plan.specs))

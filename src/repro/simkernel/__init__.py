@@ -16,7 +16,7 @@ from repro.simkernel.distributions import (
     Uniform,
     from_stats,
 )
-from repro.simkernel.engine import Engine, SimEvent
+from repro.simkernel.engine import Engine
 from repro.simkernel.injection import InjectionSpec, NoiseInjector, inject
 from repro.simkernel.memory import PageFaultModel
 from repro.simkernel.node import ComputeNode, RankProgram
@@ -33,7 +33,6 @@ __all__ = [
     "Uniform",
     "from_stats",
     "Engine",
-    "SimEvent",
     "InjectionSpec",
     "NoiseInjector",
     "inject",

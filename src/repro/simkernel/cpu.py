@@ -20,7 +20,7 @@ from enum import IntEnum
 from functools import partial
 from typing import Callable, List, Optional
 
-from repro.simkernel.engine import Engine, SimEvent
+from repro.simkernel.engine import Engine, Handle, cancel
 from repro.simkernel.task import IDLE_PID, Task
 from repro.tracing.events import FIRST_POINT_EVENT, Flag, TraceSink
 
@@ -93,7 +93,7 @@ class Frame:
         self.remaining = remaining
         self.resumed_at = 0
         self.entered_at = 0
-        self.completion: Optional[SimEvent] = None
+        self.completion: Optional[Handle] = None
         self.running = False
         self.on_exit = on_exit
         self.on_pause = on_pause
@@ -141,13 +141,6 @@ class CPU:
                 return task.pid
         return IDLE_PID
 
-    def in_kernel(self) -> bool:
-        """True when any frame above the context frame is active."""
-        return len(self.stack) > 1
-
-    def kact_depth(self) -> int:
-        return sum(1 for f in self.stack if f.kind == FrameKind.KACT)
-
     # ------------------------------------------------------------------
     # Trace emission
     # ------------------------------------------------------------------
@@ -165,7 +158,7 @@ class CPU:
         # While a frame runs, ``remaining`` stays fixed and its completion is
         # scheduled at resumed_at + remaining, so extending is a reschedule.
         if top.completion is not None:
-            top.completion.cancel()
+            cancel(top.completion)
         top.remaining += extra_ns  # type: ignore[operator]
         top.completion = self.engine.schedule(
             top.resumed_at + top.remaining, partial(self._complete, top)
@@ -200,7 +193,7 @@ class CPU:
     def _pause(self, frame: Frame) -> None:
         completion = frame.completion
         if completion is not None:
-            completion.cancel()
+            cancel(completion)
             frame.completion = None
         ran = self.engine.now - frame.resumed_at
         remaining = frame.remaining

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.simkernel.cpu import Frame, FrameKind
 from repro.simkernel.distributions import DurationModel
-from repro.simkernel.engine import SimEvent
+from repro.simkernel.engine import Handle, cancel
 from repro.simkernel.task import Task
 from repro.tracing.events import Ev
 
@@ -67,7 +67,7 @@ class _FaultState:
         self.task = task
         self.rate_per_sec = 0.0
         self.model: Optional[PageFaultModel] = None
-        self.pending: Optional[SimEvent] = None
+        self.pending: Optional[Handle] = None
 
     def arm(self) -> None:
         """Schedule the next fault; the rank's user frame is running."""
@@ -84,7 +84,7 @@ class _FaultState:
         """Drop the pending fault; the rank's user frame paused."""
         pending = self.pending
         if pending is not None:
-            pending.cancel()
+            cancel(pending)
             self.pending = None
 
     def fault(self) -> None:

@@ -80,9 +80,6 @@ class SoftirqDispatcher:
         """Mark a vector pending on a CPU (like ``raise_softirq``)."""
         self._pending[cpu_index][int(vec)] = True
 
-    def pending_vecs(self, cpu_index: int) -> List[int]:
-        return [i for i, p in enumerate(self._pending[cpu_index]) if p]
-
     def run(self, cpu: CPU) -> bool:
         """Start softirq processing on a CPU if allowed.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from typing import Callable, Dict, List, Tuple, TYPE_CHECKING
+from typing import Callable, List, Tuple, TYPE_CHECKING
 
 from repro.simkernel.cpu import CPU
 from repro.simkernel.softirq import SoftirqHandler, Vec
@@ -29,7 +29,7 @@ class SoftTimer:
     them by two int compares in C; ``timer_id`` is unique, so a timer is
     never compared."""
 
-    __slots__ = ("timer_id", "expires", "callback", "period_ns", "cpu", "cancelled")
+    __slots__ = ("timer_id", "expires", "callback", "period_ns", "cpu")
 
     def __init__(
         self,
@@ -44,7 +44,6 @@ class SoftTimer:
         self.callback = callback
         self.period_ns = period_ns
         self.cpu = cpu
-        self.cancelled = False
 
 
 class TimerSubsystem:
@@ -58,7 +57,6 @@ class TimerSubsystem:
             [] for _ in range(node.config.ncpus)
         ]
         self._next_timer_id = 1
-        self._timers: Dict[int, SoftTimer] = {}
         self.ticks = 0
         self.skipped_idle_ticks = 0
         self.hrtimer_fires = 0
@@ -86,16 +84,10 @@ class TimerSubsystem:
             cpu,
         )
         self._next_timer_id += 1
-        self._timers[timer.timer_id] = timer
         heapq.heappush(
             self._wheels[cpu], (timer.expires, timer.timer_id, timer)
         )
         return timer.timer_id
-
-    def cancel_timer(self, timer_id: int) -> None:
-        timer = self._timers.pop(timer_id, None)
-        if timer is not None:
-            timer.cancelled = True
 
     # ------------------------------------------------------------------
     # The tick
@@ -216,13 +208,9 @@ class TimerSubsystem:
         now = node.engine.now
         while wheel and wheel[0][0] <= now:
             _, timer_id, timer = heapq.heappop(wheel)
-            if timer.cancelled:
-                continue
             cpu.emit_point(Ev.TIMER_EXPIRE, cpu.context_pid(), timer_id)
             if timer.period_ns:
                 # A periodic re-arm pushes a fresh entry.
                 timer.expires = now + timer.period_ns
                 heapq.heappush(wheel, (timer.expires, timer_id, timer))
-            else:
-                self._timers.pop(timer.timer_id, None)
             timer.callback()

@@ -24,7 +24,7 @@ an on-disk CPU-major file through
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -67,11 +67,8 @@ class StreamingAnalysis(DerivedQueries):
         window_ns: Optional[int] = None,
         quanta: Tuple[int, ...] = (),
         on_chunk: Optional[Callable[[int, ActivityTable], None]] = None,
-        collect_table: bool = False,
         strict: bool = False,
     ) -> None:
-        if collect_table and window_ns is None:
-            raise ValueError("collect_table requires window_ns")
         self.ncpus = int(ncpus)
         self.start_ts = int(start_ts)
         if span_ns is not None:
@@ -86,10 +83,6 @@ class StreamingAnalysis(DerivedQueries):
         self.meta = meta if meta is not None else TraceMeta()
         self.window_ns = window_ns
 
-        self._user_chunk = on_chunk
-        self._chunks: Optional[List[ActivityTable]] = (
-            [] if collect_table else None
-        )
         self._merger = WindowMerger(
             self.ncpus,
             self.start_ts,
@@ -97,11 +90,7 @@ class StreamingAnalysis(DerivedQueries):
             window_ns=window_ns,
             quanta=tuple(int(q) for q in quanta),
             end_ts=self.end_ts,
-            on_chunk=(
-                self._on_chunk
-                if (on_chunk is not None or collect_table)
-                else None
-            ),
+            on_chunk=on_chunk,
         )
         self._engine = StreamEngine(
             self.meta, on_rows=self._merger.add, strict=strict
@@ -266,12 +255,6 @@ class StreamingAnalysis(DerivedQueries):
             obs.gauge("stream.floor_ns").set(floor)
             self._obs_flush()
 
-    def _on_chunk(self, index: int, table: ActivityTable) -> None:
-        if self._chunks is not None:
-            self._chunks.append(table)
-        if self._user_chunk is not None:
-            self._user_chunk(index, table)
-
     def _obs_flush(self) -> None:
         if not obs.enabled():
             return
@@ -358,17 +341,6 @@ class StreamingAnalysis(DerivedQueries):
     @property
     def activities_total(self) -> int:
         return self._merger.rows
-
-    def table(self) -> ActivityTable:
-        """Concatenation of all window chunks — the batch table, row for
-        row (requires ``collect_table=True``)."""
-        self._require_finished()
-        if self._chunks is None:
-            raise RuntimeError("constructed without collect_table=True")
-        if not self._chunks:
-            return ActivityTable.from_columns(0, meta=self.meta)
-        data = np.concatenate([chunk.data for chunk in self._chunks])
-        return ActivityTable(data, meta=self.meta)
 
     def pending_counts(self) -> Dict[str, int]:
         return self._engine.pending_counts()

@@ -114,8 +114,9 @@ class TestNesting:
         engine.run_until(10)
         cpu.push(Frame(FrameKind.KACT, event=Ev.SYSCALL, name="a", remaining=500))
         cpu.push(Frame(FrameKind.KACT, event=Ev.IRQ_TIMER, name="b", remaining=100))
-        assert cpu.kact_depth() == 2
-        assert cpu.in_kernel()
+        assert [f.kind for f in cpu.stack] == [
+            FrameKind.USER, FrameKind.KACT, FrameKind.KACT
+        ]
 
 
 class TestOverheadInjection:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel.engine import Engine, SimBudgetWarning
+from repro.simkernel.engine import Engine, cancel
 
 
 class TestScheduling:
@@ -56,32 +56,47 @@ class TestCancellation:
     def test_cancelled_does_not_run(self):
         engine = Engine()
         ran = []
-        ev = engine.schedule(10, lambda: ran.append(1))
-        ev.cancel()
+        handle = engine.schedule(10, lambda: ran.append(1))
+        cancel(handle)
         engine.run_until(100)
         assert ran == []
+        assert engine.events_executed == 0
 
     def test_cancel_is_idempotent(self):
         engine = Engine()
-        ev = engine.schedule(10, lambda: None)
-        ev.cancel()
-        ev.cancel()
+        handle = engine.schedule(10, lambda: None)
+        cancel(handle)
+        cancel(handle)
         engine.run_until(100)
+        assert engine.events_executed == 0
 
     def test_pending_count_excludes_cancelled(self):
         engine = Engine()
-        ev = engine.schedule(10, lambda: None)
+        handle = engine.schedule(10, lambda: None)
         engine.schedule(20, lambda: None)
         assert engine.pending_count() == 2
-        ev.cancel()
+        cancel(handle)
         assert engine.pending_count() == 1
 
-    def test_peek_skips_cancelled(self):
+    def test_cancelled_beyond_window_never_runs(self):
+        # A cancelled entry past the window stays queued but is never
+        # counted, and a later window drops it without running it.
+        # Cancelling an event that already ran changes nothing.
         engine = Engine()
-        ev = engine.schedule(10, lambda: None)
-        engine.schedule(20, lambda: None)
-        ev.cancel()
-        assert engine.peek_time() == 20
+        ran = []
+        early = engine.schedule(10, lambda: ran.append(10))
+        late = engine.schedule(500, lambda: ran.append(500))
+        engine.schedule(600, lambda: ran.append(600))
+        cancel(late)
+        engine.run_until(100)
+        assert ran == [10]
+        assert engine.events_executed == 1
+        assert engine.pending_count() == 1
+        cancel(early)
+        engine.run_until(1000)
+        assert ran == [10, 600]
+        assert engine.events_executed == 2
+        assert engine.pending_count() == 0
 
 
 class TestExecution:
@@ -108,60 +123,14 @@ class TestExecution:
         engine.run_until(60)
         assert ran == [1]
 
-    def test_step(self):
-        engine = Engine()
-        ran = []
-        engine.schedule(5, lambda: ran.append(1))
-        assert engine.step() is True
-        assert engine.step() is False
-        assert ran == [1]
-
-    def test_run_to_completion_counts(self):
-        engine = Engine()
-        for i in range(5):
-            engine.schedule(i, lambda: None)
-        assert engine.run_to_completion() == 5
-
-    def test_run_to_completion_budget_truncates_with_warning(self):
-        engine = Engine()
-
-        def rearm():
-            engine.schedule_after(1, rearm)
-
-        engine.schedule(0, rearm)
-        with pytest.warns(SimBudgetWarning):
-            executed = engine.run_to_completion(max_events=100)
-        assert executed == 100
-        assert engine.budget_exhausted
-        assert engine.pending_count() == 1  # the rearmed event survives
-
-    def test_run_to_completion_exact_budget_not_truncated(self):
-        # Draining exactly max_events with nothing left is a completion,
-        # not a truncation.
-        engine = Engine()
-        for i in range(5):
-            engine.schedule(i, lambda: None)
-        assert engine.run_to_completion(max_events=5) == 5
-        assert not engine.budget_exhausted
-
     def test_not_reentrant(self):
-        engine = Engine()
-
-        def bad():
-            engine.run_until(engine.now + 10)
-
-        engine.schedule(1, bad)
-        with pytest.raises(RuntimeError):
-            engine.run_until(5)
-
-    def test_step_inside_run_until_rejected(self):
-        # A nested step() would run an event past the window and leave
-        # ``now`` beyond t_end.
+        # A nested run_until would run events past the outer window and
+        # leave ``now`` beyond its end.
         engine = Engine()
         ran = []
 
         def bad():
-            engine.step()
+            engine.run_until(engine.now + 1000)
 
         engine.schedule(10, bad)
         engine.schedule(500, lambda: ran.append(500))
@@ -172,25 +141,6 @@ class TestExecution:
         # The engine is usable again afterwards.
         engine.run_until(1000)
         assert ran == [500]
-
-    @pytest.mark.parametrize("outer", ["step", "run_to_completion"])
-    @pytest.mark.parametrize("inner", ["step", "run_until", "run_to_completion"])
-    def test_no_nested_loops(self, outer, inner):
-        engine = Engine()
-        ran = []
-
-        def bad():
-            if inner == "run_until":
-                engine.run_until(engine.now + 10)
-            else:
-                getattr(engine, inner)()
-
-        engine.schedule(10, bad)
-        engine.schedule(20, lambda: ran.append(20))
-        with pytest.raises(RuntimeError, match="not reentrant"):
-            getattr(engine, outer)()
-        assert ran == []
-        assert engine.now == 10
 
 
 class TestDeterminism:

@@ -191,10 +191,9 @@ class TestSeedSweepIntegration:
     SEEDS = list(range(8))
 
     def test_parallel_sweep_identical_to_serial(self):
-        serial = SeedSweep.run("FTQ", SHORT, self.SEEDS, ncpus=2,
-                               parallel=False)
+        serial = SeedSweep.run("FTQ", SHORT, self.SEEDS, ncpus=2)
         parallel = SeedSweep.run("FTQ", SHORT, self.SEEDS, ncpus=2,
-                                 parallel=True)
+                                 backend=LocalPoolBackend(2))
         s_nf = serial.noise_fraction().values
         p_nf = parallel.noise_fraction().values
         assert list(s_nf) == list(p_nf)

@@ -754,18 +754,23 @@ class TestSampleMerge:
 
 
 # ----------------------------------------------------------------------
-# Sampler overhead guard: 100 ms sampling must stay under 2%
+# Sampler overhead guard: a sampler firing inside every timed run must
+# cost under 2%
 # ----------------------------------------------------------------------
 
 class TestSamplerOverhead:
     def test_sampler_overhead_under_two_percent(self):
-        """A 1s FTQ pipeline with obs enabled plus the 100 ms sampler
-        must cost within 2% of the same pipeline without the sampler."""
+        """A 1s FTQ pipeline with obs enabled plus a sampler that fires
+        inside it must cost within 2% of the same pipeline without the
+        sampler.  The pipeline takes about 25 ms of wall time, so the
+        period is 10 ms: each timed run spans two or more periods.  The
+        default 100 ms would never fire inside it, and the gate would
+        time an idle thread."""
         samplers = []
 
         @contextlib.contextmanager
         def with_sampler():
-            sampler = obs.Sampler(period_s=0.1)
+            sampler = obs.Sampler(period_s=0.01)
             samplers.append(sampler)
             sampler.start()
             try:
@@ -780,7 +785,9 @@ class TestSamplerOverhead:
         )
 
         assert len(samplers) == 5
-        assert all(s.ring.appended >= 2 for s in samplers)  # they really ran
+        # start() and stop() take one sample each; the rest are the
+        # thread's, taken inside the timed run.
+        assert all(s.ring.appended >= 3 for s in samplers)
         # 2% plus a 2ms grace against scheduler jitter on tiny baselines.
         assert sampled <= plain * 1.02 + 0.002, (
             f"sampler overhead too high: sampled {sampled:.4f}s"

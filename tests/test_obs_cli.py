@@ -220,7 +220,7 @@ class TestObsTail:
             plan = SweepPlan(specs, shards=2, plan_dir=plan_dir)
             plan.save()
         return SeedSweep.run(
-            "FTQ", 60 * MSEC, self.SEEDS, ncpus=2, parallel=False,
+            "FTQ", 60 * MSEC, self.SEEDS, ncpus=2,
             cache=cache, plan=plan, progress=progress,
         )
 

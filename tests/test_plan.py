@@ -231,7 +231,7 @@ class TestBackends:
 # ----------------------------------------------------------------------
 
 def _serial_baseline(seeds):
-    return SeedSweep.run("FTQ", SHORT, seeds, ncpus=2, parallel=False)
+    return SeedSweep.run("FTQ", SHORT, seeds, ncpus=2)
 
 
 class TestInterruptResume:
@@ -247,7 +247,7 @@ class TestInterruptResume:
             plan = SweepPlan(specs, shards=4, plan_dir=plan_dir)
             plan.save()
         return SeedSweep.run(
-            "FTQ", SHORT, self.SEEDS, ncpus=2, parallel=False,
+            "FTQ", SHORT, self.SEEDS, ncpus=2,
             cache=cache, plan=plan, progress=progress, backend=backend,
         ), plan, cache
 
@@ -325,7 +325,7 @@ class TestSweepReporting:
         prestored = [s.seed for s in last.specs]
         SeedSweep.run("FTQ", SHORT, prestored, ncpus=2, cache=store)
         sweep = SeedSweep.run("FTQ", SHORT, self.SEEDS, ncpus=2,
-                              parallel=True, max_workers=2, cache=store,
+                              backend=LocalPoolBackend(2), cache=store,
                               plan=plan)
         return sweep, len(prestored)
 

@@ -33,7 +33,7 @@ from repro.core import NoiseAnalysis
 from repro.simkernel import ComputeNode, NodeConfig, TaskKind
 from repro.simkernel.distributions import from_stats
 from repro.simkernel.task import TaskState
-from repro.core.model import PREEMPT_EVENT, TraceMeta
+from repro.core.model import PREEMPT_EVENT, ActivityTable, TraceMeta
 from repro.stream import StreamingAnalysis
 from repro.tracing.ctf import Packet, Trace
 from repro.tracing.events import Ev
@@ -63,12 +63,24 @@ def packets_for(records, split_every=4, lost_at=None):
     return pkts
 
 
-def live_stream(trace, m, quanta, window_ns):
+def chunk_collector():
+    """An ``on_chunk`` callback, and a function that concatenates the
+    chunks it got: the stream's whole table, as an array."""
+    chunks = []
+
+    def table():
+        if not chunks:
+            return ActivityTable.from_columns(0).data
+        return np.concatenate(chunks)
+
+    return (lambda index, chunk: chunks.append(chunk.data)), table
+
+
+def live_stream(trace, m, quanta, window_ns, on_chunk=None):
     """Live mode: no end_ts up front; the trace end arrives with finish()."""
     sa = StreamingAnalysis(
         ncpus=trace.ncpus, start_ts=trace.start_ts, meta=m,
-        window_ns=window_ns, quanta=quanta,
-        collect_table=window_ns is not None,
+        window_ns=window_ns, quanta=quanta, on_chunk=on_chunk,
     )
     for packet in sorted(trace.packets, key=lambda p: p.begin_ts):
         sa.feed_packet(packet)
@@ -118,9 +130,10 @@ def assert_equivalent(trace, m, quanta=(25,), span_ns=None, window_ns=50,
     """Full differential: batch vs streaming on every query surface.
 
     The default window-less stream (``window_ns=None``, one block per
-    packet) is always checked too; it keeps no table, so its aggregates
-    and timelines are compared.  ``live`` also runs live mode and checks
-    its table (when windowed) and timelines.  Returns the batch analysis
+    packet) is always checked too; it emits no chunks, so its aggregates
+    and timelines are compared.  A windowed stream's table is its window
+    chunks, concatenated.  ``live`` also runs live mode and checks its
+    table (when windowed) and timelines.  Returns the batch analysis
     and the windowed stream (the window-less one without ``window_ns``).
     """
     with warnings.catch_warnings():
@@ -129,21 +142,23 @@ def assert_equivalent(trace, m, quanta=(25,), span_ns=None, window_ns=50,
         streams = [StreamingAnalysis.from_trace(
             trace, meta=m, span_ns=span_ns, quanta=quanta,
         )]
+        on_chunk, table = chunk_collector()
         if window_ns is not None:
             streams.append(StreamingAnalysis.from_trace(
                 trace, meta=m, span_ns=span_ns, window_ns=window_ns,
-                quanta=quanta, collect_table=True,
+                quanta=quanta, on_chunk=on_chunk,
             ))
+        on_live_chunk, live_table = chunk_collector()
         if live:
             assert span_ns is None
-            online = live_stream(trace, m, quanta, window_ns)
+            online = live_stream(trace, m, quanta, window_ns, on_live_chunk)
 
     stream = streams[-1]
     if window_ns is not None:
-        assert_tables_equal(batch.table.data, stream.table().data)
+        assert_tables_equal(batch.table.data, table())
     if live:
         if window_ns is not None:
-            assert_tables_equal(batch.table.data, online.table().data)
+            assert_tables_equal(batch.table.data, live_table())
         assert batch.total_noise_ns() == online.total_noise_ns()
         assert_timelines_equal(batch, online, quanta)
     for each in streams:
@@ -205,10 +220,11 @@ def test_packet_granularity_is_invisible():
     for split in (1, 3, 100):
         trace = Trace(ncpus=2, start_ts=0, end_ts=200,
                       packets=packets_for(records, split_every=split))
-        sa = StreamingAnalysis.from_trace(
-            trace, meta=m, window_ns=50, collect_table=True
+        on_chunk, table = chunk_collector()
+        StreamingAnalysis.from_trace(
+            trace, meta=m, window_ns=50, on_chunk=on_chunk
         )
-        tables.append(sa.table().data)
+        tables.append(table())
     for other in tables[1:]:
         for name in tables[0].dtype.names:
             np.testing.assert_array_equal(tables[0][name], other[name])
@@ -459,11 +475,6 @@ def test_unconfigured_timeline_quantum_raises():
     sa.noise_timeline(5)
     with pytest.raises(ValueError, match="quantum"):
         sa.noise_timeline(7)
-
-
-def test_collect_table_requires_window():
-    with pytest.raises(ValueError):
-        StreamingAnalysis(ncpus=1, start_ts=0, end_ts=10, collect_table=True)
 
 
 # ----------------------------------------------------------------------

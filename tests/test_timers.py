@@ -77,14 +77,6 @@ class TestSoftwareTimers:
         node.run(500 * MSEC)
         assert 8 <= len(fired) <= 11
 
-    def test_cancel(self):
-        node, _ = make_node()
-        fired = []
-        tid = node.timers.add_timer(30 * MSEC, lambda: fired.append(1))
-        node.timers.cancel_timer(tid)
-        node.run(100 * MSEC)
-        assert fired == []
-
     def test_rejects_negative_delay(self):
         node, _ = make_node()
         with pytest.raises(ValueError):
