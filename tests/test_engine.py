@@ -124,8 +124,19 @@ class TestExecution:
         assert ran == [1]
 
     def test_not_reentrant(self):
-        # A nested run_until would run events past the outer window and
-        # leave ``now`` beyond its end.
+        engine = Engine()
+
+        def bad():
+            engine.run_until(engine.now + 10)
+
+        engine.schedule(1, bad)
+        with pytest.raises(RuntimeError):
+            engine.run_until(5)
+
+    def test_step_inside_run_until_rejected(self):
+        # Stepping the engine from inside a callback (run_until is its one
+        # event loop) would run events past the outer window and leave
+        # ``now`` beyond its end.
         engine = Engine()
         ran = []
 
