@@ -31,13 +31,14 @@ Layout:
   bare acquire/release, AB/BA lock order, signal/atexit reentrancy;
 * :mod:`repro.check.asyncrules` — ASY rules: blocking calls on the
   event loop, un-awaited coroutines, loop-confinement violations;
-* :mod:`repro.check.incremental` — content-hash cache over the import
-  graph + ``--jobs`` parallel front-end.
+* :mod:`repro.check.incremental` — the one entry point
+  (:func:`~repro.check.incremental.lint_paths`): per-file content-hash
+  cache + ``--jobs`` parallel front-end.
 """
 
 from __future__ import annotations
 
-from repro.check.engine import CheckResult, run_check
+from repro.check.engine import CheckResult
 from repro.check.framework import (
     REGISTRY,
     ProjectRule,
@@ -68,5 +69,4 @@ __all__ = [
     "all_rules",
     "render_json",
     "render_text",
-    "run_check",
 ]

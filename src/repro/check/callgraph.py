@@ -36,10 +36,6 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.check.framework import SourceFile, dotted_name, fact_extractor
 
-# Summary dicts use these short keys throughout; bump when the shape
-# changes so cached records from older engines are invalidated.
-SUMMARY_VERSION = 1
-
 #: Lock-guarding context-manager types (asyncio primitives are excluded on
 #: purpose: they are loop-confined and do not exclude *threads*).
 LOCK_TYPES = frozenset({
@@ -702,7 +698,6 @@ def extract_summary(src: SourceFile) -> Dict[str, Any]:
     """One-pass per-file summary; plain dicts, safe to cache as JSON."""
     scan = _ModuleScan(src)
     summary: Dict[str, Any] = {
-        "version": SUMMARY_VERSION,
         "modpath": src.modpath,
         "path": src.path,
         "dotted": _mod_dotted(src.modpath),

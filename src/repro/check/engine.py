@@ -1,7 +1,8 @@
 """Drive the registered rules over a file set and account for pragmas.
 
 The engine is split into two phases so whole-project analysis stays
-incremental:
+incremental; :func:`repro.check.incremental.lint_paths` is the one entry
+point that drives both over a file set:
 
 * the **per-file phase** (:func:`analyze_source`) parses one file, runs
   every per-file rule and every registered fact extractor, and folds the
@@ -124,15 +125,6 @@ def discover_files(paths: Sequence[str]) -> List[str]:
     return sorted(dict.fromkeys(found))
 
 
-def load_files(paths: Sequence[str]) -> List[SourceFile]:
-    sources: List[SourceFile] = []
-    for path in discover_files(paths):
-        with open(path, encoding="utf-8") as fp:
-            text = fp.read()
-        sources.append(SourceFile(path, text))
-    return sources
-
-
 def analyze_source(src: SourceFile) -> FileRecord:
     """The per-file phase: rules + facts for one parsed source file."""
     record = FileRecord(
@@ -248,21 +240,3 @@ def run_project(
     result.suppressed.sort(key=lambda v: (v.path, v.line, v.rule))
     return result
 
-
-def run_check(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    sources: Optional[Sequence[SourceFile]] = None,
-) -> CheckResult:
-    """Run every registered rule over ``paths``.
-
-    ``select``/``ignore`` restrict the rule set by id (pragma hygiene runs
-    regardless).  ``sources`` bypasses file discovery for tests.  This is
-    the plain in-memory path; the CLI goes through
-    :func:`repro.check.incremental.lint_paths` for caching and ``--jobs``.
-    """
-    if sources is None:
-        sources = load_files(paths)
-    records = [analyze_source(src) for src in sources]
-    return run_project(records, select=select, ignore=ignore)

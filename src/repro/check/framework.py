@@ -268,13 +268,10 @@ class FileRecord:
 
     path: str
     modpath: str
-    sha: str = ""
     parse_error: Optional[Dict[str, Any]] = None  # {line, col, msg}
     pragmas: List[Pragma] = field(default_factory=list)
     violations: List[Violation] = field(default_factory=list)
     facts: Dict[str, Any] = field(default_factory=dict)
-    #: intra-project modpaths this file imports (for cache invalidation)
-    imports: List[str] = field(default_factory=list)
 
     def suppresses(self, violation: Violation) -> Optional[Pragma]:
         return find_suppression(self.pragmas, violation)
@@ -283,12 +280,10 @@ class FileRecord:
         return {
             "path": self.path,
             "modpath": self.modpath,
-            "sha": self.sha,
             "parse_error": self.parse_error,
             "pragmas": [p.to_dict() for p in self.pragmas],
             "violations": [v.to_dict() for v in self.violations],
             "facts": self.facts,
-            "imports": list(self.imports),
         }
 
     @classmethod
@@ -296,14 +291,12 @@ class FileRecord:
         return cls(
             path=data["path"],
             modpath=data["modpath"],
-            sha=data.get("sha", ""),
             parse_error=data.get("parse_error"),
             pragmas=[Pragma.from_dict(p) for p in data.get("pragmas", [])],
             violations=[
                 Violation.from_dict(v) for v in data.get("violations", [])
             ],
             facts=data.get("facts", {}),
-            imports=list(data.get("imports", [])),
         )
 
 

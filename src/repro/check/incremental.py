@@ -3,25 +3,23 @@
 Whole-project analysis (call graph, CON/ASY packs) made linting
 super-linear in repo size, so the per-file phase — parsing, per-file
 rules, fact extraction; ~95% of a cold run's wall time — no longer
-reruns for files that cannot have changed meaning:
+reruns for files that have not changed:
 
 * every file's :class:`~repro.check.framework.FileRecord` is cached in
   a :class:`LintStore` (the :class:`~repro.exec.store.ShardedBlobStore`
   machinery from the run cache: hash-prefix shards, atomic writes,
   LRU budget);
-* the cache key hashes the file's content **and the content of its
-  intra-project import closure** (a text-level scan, deliberately
-  independent of the AST being cached), so editing one module
-  re-analyzes exactly its dependents — facts like inferred attribute
-  types do leak across imports via the call graph;
-* the key also hashes the sources of ``repro.check`` itself, so
-  editing a rule or the extractor invalidates everything;
+* a record is a pure function of one file's path and text plus the
+  linter's own sources, so the cache key hashes exactly those three:
+  editing a module re-analyzes that module alone, and editing a rule
+  or the extractor (any ``repro/check/*.py``) invalidates everything;
 * cold misses can be farmed out to worker processes (``--jobs N``);
   records are merged back in path order, so parallel output is
   byte-identical to serial.
 
-The project phase (rule selection, CON/ASY/SCH packs, suppression) is
-cheap and always runs fresh — records are filter-independent.
+The project phase (rule selection, call-graph and vocabulary linking,
+CON/ASY/SCH packs, suppression) is cheap and always runs fresh over
+every record, so facts that cross files never come from a stale link.
 """
 
 from __future__ import annotations
@@ -29,33 +27,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.check.engine import (
     CheckResult,
     discover_files,
     run_project,
 )
-from repro.check.framework import FileRecord, SourceFile, _modpath
+from repro.check.framework import FileRecord, SourceFile
 from repro.exec.store import ShardedBlobStore, default_cache_dir
-
-#: Bump to invalidate every cached record (schema change in FileRecord
-#: or the facts).  The rules fingerprint below catches code edits; this
-#: catches semantic changes that don't live in repro/check (e.g. a new
-#: engine contract).
-RECORD_VERSION = 1
 
 #: Default size budget for the lint cache: ~an order of magnitude more
 #: than one full repo state, so switching branches stays warm.
 DEFAULT_LINT_CACHE_BYTES = 64 * 1024 * 1024
-
-_IMPORT_RE = re.compile(
-    r"^\s*(?:from\s+(repro[\w.]*|\.+[\w.]*)\s+import"
-    r"\s+([\w.]+(?:\s*,\s*[\w.]+)*|\*|\()"
-    r"|import\s+(repro[\w.]*(?:\s*,\s*repro[\w.]*)*))",
-    re.MULTILINE,
-)
 
 
 class LintStore(ShardedBlobStore):
@@ -93,10 +77,6 @@ def default_lint_cache_dir() -> str:
     return os.path.join(default_cache_dir(), "lint")
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 _rules_fingerprint: Optional[str] = None
 
 
@@ -116,98 +96,14 @@ def rules_fingerprint() -> str:
     return _rules_fingerprint
 
 
-def scan_imports(text: str) -> List[str]:
-    """Dotted intra-project module names a file's text imports.
-
-    A deliberate *text* scan (regex, not AST): the import graph decides
-    which cached ASTs are stale, so deriving it from those same ASTs
-    would be circular.  ``from repro.a import b`` contributes both
-    ``repro.a`` and ``repro.a.b`` — the scan can't know whether ``b``
-    is a symbol or a submodule, and resolving against the file set
-    later drops whichever doesn't exist.
-    """
-    found: Set[str] = set()
-    for match in _IMPORT_RE.finditer(text):
-        from_mod, from_names, plain = match.groups()
-        if plain:
-            for part in plain.split(","):
-                found.add(part.strip())
-        elif from_mod and not from_mod.startswith("."):
-            found.add(from_mod)
-            if from_names not in ("*", "("):
-                for part in from_names.split(","):
-                    leaf = part.strip().split(".")[0]
-                    if leaf:
-                        found.add(f"{from_mod}.{leaf}")
-    return sorted(found)
-
-
-def _dotted_of(modpath: str) -> str:
-    """``repro/exec/store.py`` -> ``repro.exec.store`` (packages too)."""
-    if not modpath.endswith(".py"):
-        return ""
-    trimmed = modpath[:-3]
-    if trimmed.endswith("/__init__"):
-        trimmed = trimmed[: -len("/__init__")]
-    return trimmed.replace("/", ".")
-
-
-def build_import_graph(
-    files: Sequence[Tuple[str, str, str]],
-) -> Dict[str, Set[str]]:
-    """``path -> set(paths it imports)``, resolved within the file set.
-
-    ``files`` is ``(path, modpath, text)``.  Imports of modules outside
-    the scanned set (stdlib, foreign packages) are ignored — they can't
-    go stale between lint runs of this repo.
-    """
-    by_dotted: Dict[str, str] = {}
-    for path, modpath, _ in files:
-        dotted = _dotted_of(modpath)
-        if dotted:
-            by_dotted.setdefault(dotted, path)
-    graph: Dict[str, Set[str]] = {}
-    for path, _, text in files:
-        deps: Set[str] = set()
-        for dotted in scan_imports(text):
-            # the module itself plus every ancestor package __init__
-            # (re-exports are chased through them at link time)
-            parts = dotted.split(".")
-            for cut in range(1, len(parts) + 1):
-                hit = by_dotted.get(".".join(parts[:cut]))
-                if hit is not None and hit != path:
-                    deps.add(hit)
-        graph[path] = deps
-    return graph
-
-
-def _closure(graph: Dict[str, Set[str]], start: str) -> List[str]:
-    seen: Set[str] = {start}
-    work = [start]
-    while work:
-        for dep in graph.get(work.pop(), ()):
-            if dep not in seen:
-                seen.add(dep)
-                work.append(dep)
-    seen.discard(start)
-    return sorted(seen)
-
-
-def cache_key(
-    path: str,
-    shas: Dict[str, str],
-    graph: Dict[str, Set[str]],
-) -> str:
-    """Content hash of a file plus everything its meaning depends on."""
+def cache_key(path: str, text: str) -> str:
+    """A record's key: the linter's own sources, the path, the text."""
     digest = hashlib.sha256()
-    digest.update(f"v{RECORD_VERSION}\0".encode("utf-8"))
     digest.update(rules_fingerprint().encode("utf-8"))
     digest.update(b"\0")
     digest.update(path.encode("utf-8"))
     digest.update(b"\0")
-    digest.update(shas[path].encode("utf-8"))
-    for dep in _closure(graph, path):
-        digest.update(f"\0{dep}={shas[dep]}".encode("utf-8"))
+    digest.update(hashlib.sha256(text.encode("utf-8")).digest())
     return digest.hexdigest()
 
 
@@ -229,52 +125,45 @@ def lint_paths(
     cache_dir: Optional[str] = None,
     no_cache: bool = False,
 ) -> CheckResult:
-    """The CLI's engine entry point: cached, optionally parallel.
+    """noiselint's one entry point: cached, optionally parallel.
 
     ``jobs=None`` or ``1`` analyzes serially in-process; ``jobs=N``
     fans cold files out to N worker processes; ``jobs=0`` means one
     per CPU.  Output is identical in all cases.
     """
     file_list = discover_files(paths)
-    loaded: List[Tuple[str, str, str]] = []
+    texts: Dict[str, str] = {}
     for path in file_list:
         with open(path, encoding="utf-8") as fp:
-            text = fp.read()
-        loaded.append((path, _modpath(path), text))
+            texts[path] = fp.read()
 
     store: Optional[LintStore] = None
-    keys: Dict[str, str] = {}
-    shas = {path: _sha256(text.encode("utf-8")) for path, _, text in loaded}
-    graph = build_import_graph(loaded)
     if not no_cache:
         store = LintStore(
             cache_dir or default_lint_cache_dir(),
             max_bytes=DEFAULT_LINT_CACHE_BYTES,
         )
-        keys = {path: cache_key(path, shas, graph) for path in shas}
 
     records: Dict[str, FileRecord] = {}
     cold: List[Tuple[str, str]] = []
-    for path, modpath, text in loaded:
-        data = store.get_record(keys[path]) if store is not None else None
+    for path, text in texts.items():
+        data = (
+            store.get_record(cache_key(path, text))
+            if store is not None else None
+        )
         if data is not None:
             records[path] = FileRecord.from_dict(data)
         else:
             cold.append((path, text))
 
-    analyzed = _analyze_cold(cold, jobs)
-    for (path, _), record in zip(cold, analyzed):
-        record.sha = shas[path]
-        record.imports = sorted(
-            _modpath(dep) for dep in graph.get(path, ())
-        )
+    for (path, text), record in zip(cold, _analyze_cold(cold, jobs)):
         records[path] = record
         if store is not None:
-            store.put_record(keys[path], record.to_dict())
+            store.put_record(cache_key(path, text), record.to_dict())
 
     ordered = [records[path] for path in file_list]
     result = run_project(ordered, select=select, ignore=ignore)
-    result.files_reused = len(loaded) - len(cold)
+    result.files_reused = len(file_list) - len(cold)
     result.files_analyzed = len(cold)
     return result
 

@@ -128,25 +128,13 @@ def cmd_record(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from repro.core.report import event_stats_json, full_report
+    from repro.core.report import analysis_json, full_report
 
     analysis = _analysis(args)
     if args.json:
         import json as json_mod
 
-        payload = {
-            "span_ns": analysis.span_ns,
-            "ncpus": analysis.ncpus,
-            "total_noise_ns": analysis.total_noise_ns(),
-            "noise_fraction": analysis.noise_fraction(),
-            "noise_imbalance": analysis.noise_imbalance(),
-            "breakdown": {
-                c.value: f for c, f in analysis.breakdown_fractions().items()
-            },
-            "events": event_stats_json(
-                analysis, noise_only=not args.all_events
-            ),
-        }
+        payload = analysis_json(analysis, noise_only=not args.all_events)
         print(json_mod.dumps(payload, indent=2))
         return 0
     if args.all_events:

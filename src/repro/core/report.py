@@ -6,7 +6,9 @@ these helpers keep the formatting in one place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.core.model import BREAKDOWN_CATEGORIES, NoiseCategory
 from repro.util.stats import DurationStats
@@ -188,12 +190,27 @@ def render_timeline(
     )
 
 
+def analysis_json(analysis, noise_only: bool = True) -> Dict[str, Any]:
+    """The body of ``lttng-noise report --json``; the service's analysis
+    result is this plus ``per_cpu_noise_ns`` and ``analyze_text``."""
+    return {
+        "span_ns": analysis.span_ns,
+        "ncpus": analysis.ncpus,
+        "total_noise_ns": analysis.total_noise_ns(),
+        "noise_fraction": analysis.noise_fraction(),
+        "noise_imbalance": analysis.noise_imbalance(),
+        "breakdown": {
+            c.value: f for c, f in analysis.breakdown_fractions().items()
+        },
+        "events": event_stats_json(analysis, noise_only=noise_only),
+    }
+
+
 def event_stats_json(
     analysis, noise_only: bool = True
 ) -> Dict[str, Dict[str, float]]:
-    """The ``events`` object of ``lttng-noise report --json`` and of the
-    service's analysis result: one row of :meth:`stats_by_event` per
-    display name."""
+    """The ``events`` object of :func:`analysis_json`: one row of
+    :meth:`stats_by_event` per display name."""
     return {
         name: {
             "freq_per_cpu_sec": stats.freq,

@@ -74,17 +74,10 @@ class PrvRecord:
 class ParaverWriter:
     """Builds the .prv/.pcf/.row bundle from classified activities."""
 
-    def __init__(
-        self,
-        meta: TraceMeta,
-        ncpus: int,
-        end_ts: int,
-        app_name: str = "lttng-noise",
-    ) -> None:
+    def __init__(self, meta: TraceMeta, ncpus: int, end_ts: int) -> None:
         self.meta = meta
         self.ncpus = ncpus
         self.end_ts = end_ts
-        self.app_name = app_name
         # Stable task numbering: application ranks first, then daemons.
         pids = sorted(meta.tasks)
         self._task_no: Dict[int, int] = {

@@ -63,23 +63,14 @@ def analysis_payload(analysis: Any) -> Dict[str, Any]:
     formatter the ``lttng-noise analyze`` CLI prints — service responses
     are bit-identical to the batch CLI by construction.
     """
-    from repro.core.report import event_stats_json, render_analysis_summary
+    from repro.core.report import analysis_json, render_analysis_summary
 
-    return {
-        "span_ns": analysis.span_ns,
-        "ncpus": analysis.ncpus,
-        "total_noise_ns": analysis.total_noise_ns(),
-        "noise_fraction": analysis.noise_fraction(),
-        "noise_imbalance": analysis.noise_imbalance(),
-        "breakdown": {
-            c.value: f for c, f in analysis.breakdown_fractions().items()
-        },
-        "per_cpu_noise_ns": [
-            int(v) for v in analysis.per_cpu_noise_ns()
-        ],
-        "events": event_stats_json(analysis),
-        "analyze_text": render_analysis_summary(analysis),
-    }
+    payload = analysis_json(analysis)
+    payload["per_cpu_noise_ns"] = [
+        int(v) for v in analysis.per_cpu_noise_ns()
+    ]
+    payload["analyze_text"] = render_analysis_summary(analysis)
+    return payload
 
 
 @dataclass

@@ -58,7 +58,6 @@ class Frame:
         "arg",
         "remaining",
         "resumed_at",
-        "entered_at",
         "completion",
         "running",
         "on_exit",
@@ -92,7 +91,6 @@ class Frame:
         #: Nanoseconds of execution left; None for open-ended frames (idle).
         self.remaining = remaining
         self.resumed_at = 0
-        self.entered_at = 0
         self.completion: Optional[Handle] = None
         self.running = False
         self.on_exit = on_exit
@@ -185,7 +183,6 @@ class CPU:
                 raise ValueError("paired kernel activities must be finite")
             frame.remaining += 2 * sink.cost_ns(event)
         stack.append(frame)
-        frame.entered_at = now
         if paired:
             sink.emit(now, event, self.index, _ENTRY, self.context_pid(), frame.arg)
         self._resume(frame)
@@ -298,7 +295,6 @@ class CPU:
         if self.stack:
             raise RuntimeError("CPU already has a context")
         self.stack.append(frame)
-        frame.entered_at = self.engine.now
         self._resume(frame)
 
 

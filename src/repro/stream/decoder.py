@@ -47,12 +47,10 @@ class StreamDecoder:
         #: Parsed trace header shell (no packets), once available.
         self.trace: Optional[Trace] = None
         self.packets_decoded = 0
-        self.bytes_fed = 0
 
     def feed(self, data: bytes) -> List[Packet]:
         """Consume one piece of the stream; return completed packets."""
         self._buf += data
-        self.bytes_fed += len(data)
         out: List[Packet] = []
         if self._need_header:
             if len(self._buf) < _TRACE_HEADER.size:

@@ -88,6 +88,25 @@ class TestReport:
         assert 0 <= payload["noise_fraction"] < 1
         assert abs(sum(payload["breakdown"].values()) - 1.0) < 1e-6
 
+    def test_json_output_is_the_service_payload(self, recorded, capsys):
+        """``report --json`` is the service's analysis result without the
+        two keys only the service adds, on the same trace."""
+        import json
+
+        from repro.core.analysis import NoiseAnalysis
+        from repro.tracing.ctf import Trace
+        from repro.service.jobs import analysis_payload
+
+        assert main(["report", recorded + ".lttnz", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        analysis = NoiseAnalysis(
+            Trace.from_file(recorded + ".lttnz"),
+            meta=TraceMeta.from_file(recorded + ".meta.json"),
+        )
+        service = json.loads(json.dumps(analysis_payload(analysis)))
+        del service["per_cpu_noise_ns"], service["analyze_text"]
+        assert report == service
+
 
 class TestChart:
     def test_largest(self, recorded, capsys):

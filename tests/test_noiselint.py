@@ -12,8 +12,9 @@ from repro.check import (
     Severity,
     SourceFile,
     all_rules,
-    run_check,
 )
+from repro.check.engine import analyze_source, run_project
+from repro.check.incremental import lint_paths
 from repro.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
@@ -35,7 +36,7 @@ def check_fixture(name, with_vocab=False):
     sources = [load(os.path.join(FIXTURES, name))]
     if with_vocab:
         sources += [load(p) for p in VOCAB_PATHS]
-    return run_check([], sources=sources)
+    return run_project([analyze_source(s) for s in sources])
 
 
 def rules_hit(result):
@@ -138,7 +139,7 @@ def test_justified_suppression_is_counted_not_failed():
 
 def test_repo_is_clean():
     """`lttng-noise check src` exits 0 on the repository itself."""
-    result = run_check([SRC])
+    result = lint_paths([SRC], no_cache=True)
     assert not result.failed, "\n".join(
         f"{v.path}:{v.line}: {v.rule} {v.message}" for v in result.violations
     )
@@ -158,7 +159,7 @@ def test_seeded_violation_is_caught(tmp_path):
     bad_file = pkg / "engine.py"
     bad_file.write_text(text)
 
-    result = run_check([str(tmp_path)])
+    result = lint_paths([str(tmp_path)], no_cache=True)
     assert result.failed
     hits = [v for v in result.violations if v.rule == "DET001"]
     assert len(hits) == 1
@@ -322,7 +323,7 @@ def test_seeded_thread_shared_dict_write_is_caught(tmp_path):
         "    TALLY['started'] = True\n"
         "    return t\n"
     )
-    result = run_check([str(tmp_path)])
+    result = lint_paths([str(tmp_path)], no_cache=True)
     assert result.failed
     hits = [v for v in result.violations if v.rule == "CON001"]
     assert {v.line for v in hits} == {7, 13}
@@ -343,7 +344,7 @@ def test_seeded_async_sleep_is_caught(tmp_path):
         "    time.sleep(0.5)\n"
         "    return request\n"
     )
-    result = run_check([str(tmp_path)])
+    result = lint_paths([str(tmp_path)], no_cache=True)
     assert result.failed
     (v,) = [v for v in result.violations if v.rule == "ASY001"]
     assert v.path == str(bad_file)
@@ -402,15 +403,13 @@ def _write_incremental_project(root):
         "from repro.pkg.b import helper\n"
         "\n"
         "\n"
-        "def caller():\n"
+        "async def caller():\n"
         "    return helper()\n"
     )
     return pkg
 
 
 def test_incremental_cache_reuses_unchanged_records(tmp_path):
-    from repro.check.incremental import lint_paths
-
     pkg = _write_incremental_project(tmp_path / "proj")
     cache = str(tmp_path / "cache")
 
@@ -428,33 +427,40 @@ def test_incremental_cache_reuses_unchanged_records(tmp_path):
     assert key(warm) == key(cold)
 
 
-def test_incremental_cache_invalidates_the_import_closure(tmp_path):
-    from repro.check.incremental import lint_paths
-
+def test_incremental_cache_reanalyzes_only_the_edited_file(tmp_path):
+    """A record depends on its own file alone: editing a callee re-analyzes
+    the callee, and the caller's reused record still links to the new
+    callee facts in the project phase."""
     pkg = _write_incremental_project(tmp_path / "proj")
     cache = str(tmp_path / "cache")
-    lint_paths([str(pkg)], cache_dir=cache)
+    clean = lint_paths([str(pkg)], cache_dir=cache)
+    assert not clean.violations
 
-    # Editing a leaf dependent re-analyzes only that file...
-    (pkg / "a.py").write_text(
-        "from repro.pkg.b import helper\n"
+    (pkg / "b.py").write_text(
+        "import time\n"
         "\n"
         "\n"
-        "def caller():\n"
-        "    return helper() + 1\n"
+        "def helper():\n"
+        "    time.sleep(0.5)\n"
+        "    return 1\n"
     )
     result = lint_paths([str(pkg)], cache_dir=cache)
     assert (result.files_analyzed, result.files_reused) == (1, 1)
+    (v,) = [v for v in result.violations if v.rule == "ASY001"]
+    assert v.path == str(pkg / "a.py")
+    assert v.line == 5
 
-    # ...but editing an imported module re-analyzes its dependents too.
-    (pkg / "b.py").write_text("def helper():\n    return 2\n")
-    result = lint_paths([str(pkg)], cache_dir=cache)
-    assert (result.files_analyzed, result.files_reused) == (2, 0)
+    def findings(r):
+        return [
+            (v.rule, v.path, v.line, v.col, v.message)
+            for v in r.violations + r.suppressed
+        ]
+
+    fresh = lint_paths([str(pkg)], no_cache=True)
+    assert findings(result) == findings(fresh)
 
 
 def test_incremental_no_cache_and_select_still_apply(tmp_path):
-    from repro.check.incremental import lint_paths
-
     pkg = tmp_path / "repro" / "obs"
     pkg.mkdir(parents=True)
     (pkg / "racy.py").write_text(
