@@ -74,16 +74,24 @@ def _per_record_rounds(benchmark, fn, records, rounds):
         return result
 
     result = benchmark.pedantic(run, rounds=rounds, iterations=1)
-    per_record = sorted(ns / records for ns in round_ns)
-    p95 = per_record[max(0, -(-len(per_record) * 95 // 100) - 1)]
     benchmark.extra_info.update(
         records=records,
-        ns_per_record_min=round(per_record[0], 1),
-        ns_per_record_median=round(per_record[len(per_record) // 2], 1),
-        ns_per_record_p95=round(p95, 1),
+        **_ns_per_record(round_ns, records),
         ms_min=round(min(round_ns) / 1e6, 2),
     )
     return result
+
+
+def _ns_per_record(round_ns, records, prefix=""):
+    """Wall ns per record over the rounds: min, median and p95."""
+    per_record = sorted(ns / records for ns in round_ns)
+    p95 = per_record[max(0, -(-len(per_record) * 95 // 100) - 1)]
+    return {
+        f"{prefix}ns_per_record_min": round(per_record[0], 1),
+        f"{prefix}ns_per_record_median": round(
+            per_record[len(per_record) // 2], 1),
+        f"{prefix}ns_per_record_p95": round(p95, 1),
+    }
 
 
 def test_perf_analysis(benchmark, amg_trace):
@@ -280,6 +288,51 @@ def test_perf_decode(benchmark, amg_trace):
 
     n = benchmark.pedantic(decode, rounds=5, iterations=1)
     assert n == sum(p.n_records for p in trace.packets)
+
+
+def test_perf_trace_decode(benchmark, tmp_path):
+    """Every trace reader is one decoder; time each way in on the 1 s AMG
+    seed 1 trace (44,990 records in 8 packets of ~135 KB).
+
+    One round decodes the trace once per path, so the paths take turns on
+    the host: ``Trace.from_bytes`` on the raw and on the compressed bytes,
+    ``Trace.from_file`` on the raw file, and the decoder fed the raw bytes
+    in the service's ``READ_CHUNK`` (64 KiB) pieces.  ``extra_info``
+    carries ns/record (min, median, p95) per path; every path must return
+    the trace's packets."""
+    from repro.service.http import READ_CHUNK
+    from repro.tracing.ctf import StreamDecoder, Trace
+
+    _, trace = SequoiaWorkload("AMG", nominal_ns=1 * SEC).run_traced(
+        1 * SEC, seed=1)
+    records = sum(p.n_records for p in trace.packets)
+    raw = trace.to_bytes()
+    packed = trace.to_bytes(compress=True)
+    path = str(tmp_path / "amg.lttnz")
+    trace.to_file(path)
+    chunks = [raw[i:i + READ_CHUNK] for i in range(0, len(raw), READ_CHUNK)]
+
+    paths = {
+        "from_bytes": lambda: Trace.from_bytes(raw).packets,
+        "from_bytes_compressed": lambda: Trace.from_bytes(packed).packets,
+        "from_file": lambda: Trace.from_file(path).packets,
+        "pieces_64k": lambda: list(StreamDecoder().decode(chunks)),
+    }
+    round_ns = {name: [] for name in paths}
+    decoded = {}
+
+    def one_round():
+        for name, decode in paths.items():
+            t0 = time.perf_counter_ns()
+            decoded[name] = decode()
+            round_ns[name].append(time.perf_counter_ns() - t0)
+
+    benchmark.pedantic(one_round, rounds=20, iterations=1)
+    benchmark.extra_info["records"] = records
+    for name, ns in round_ns.items():
+        benchmark.extra_info.update(_ns_per_record(ns, records, f"{name}."))
+    for name, packets in decoded.items():
+        assert packets == trace.packets, name
 
 
 # ----------------------------------------------------------------------

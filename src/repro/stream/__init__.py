@@ -7,7 +7,9 @@ same answers incrementally, packet by packet:
 
 * :class:`StreamDecoder` — incremental bytes -> :class:`Packet` decoding,
   tolerant of arbitrary feed boundaries (a packet may arrive split across
-  many reads);
+  many reads); it is :class:`repro.tracing.ctf.StreamDecoder`, the reader
+  behind ``Trace.from_bytes`` too, so batch and stream reject damaged
+  bytes with the same message;
 * :class:`StreamEngine` (from :mod:`repro.core.engine`, the engine
   batch analysis runs as one block) — cuts the records into
   canonical-order blocks and runs the analysis kernels (ENTRY/EXIT

@@ -1,8 +1,8 @@
 """Streaming analysis facade: ``NoiseAnalysis`` answers in bounded memory.
 
 :class:`StreamingAnalysis` wires the three streaming stages together —
-decode (:class:`~repro.stream.decoder.StreamDecoder` or packet objects
-straight from the tracer), process
+decode (:class:`~repro.stream.decoder.StreamDecoder`, the one trace
+reader, or packet objects straight from the tracer), process
 (:class:`~repro.core.engine.StreamEngine`), merge
 (:class:`~repro.stream.window.WindowMerger`) — behind the same query
 surface the batch :class:`~repro.core.analysis.NoiseAnalysis` offers.
@@ -24,6 +24,7 @@ an on-disk CPU-major file through
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
@@ -39,7 +40,7 @@ from repro.core.engine import StreamEngine
 from repro.core.model import ActivityTable, TraceMeta
 from repro.stream.decoder import StreamDecoder, iter_packets_chronological
 from repro.stream.window import WindowMerger
-from repro.tracing.ctf import Packet, Trace, read_trace_header
+from repro.tracing.ctf import _TRACE_HEADER, Packet, Trace, trace_header
 from repro.util.stats import DurationStats
 
 try:
@@ -145,17 +146,8 @@ class StreamingAnalysis(DerivedQueries):
     ) -> "StreamingAnalysis":
         """Stream an in-memory trace, packet by packet in ``begin_ts``
         order (stable, so each CPU's packets keep their chronology)."""
-        sa = cls(
-            ncpus=ncpus if ncpus is not None else trace.ncpus,
-            start_ts=trace.start_ts,
-            end_ts=trace.end_ts,
-            meta=meta,
-            span_ns=span_ns,
-            **kwargs,
-        )
-        for packet in sorted(trace.packets, key=lambda p: p.begin_ts):
-            sa.feed_packet(packet)
-        return sa.finish()
+        packets = sorted(trace.packets, key=lambda p: p.begin_ts)
+        return cls._run(trace, packets, meta, span_ns, ncpus, kwargs)
 
     @classmethod
     def analyze_file(
@@ -169,18 +161,9 @@ class StreamingAnalysis(DerivedQueries):
         """Stream a trace file without loading it: header-only scan, then
         packets decoded one at a time in chronological order."""
         with open(path, "rb") as fp:
-            shell = read_trace_header(fp)
-            sa = cls(
-                ncpus=ncpus if ncpus is not None else shell.ncpus,
-                start_ts=shell.start_ts,
-                end_ts=shell.end_ts,
-                meta=meta,
-                span_ns=span_ns,
-                **kwargs,
-            )
-            for packet in iter_packets_chronological(fp):
-                sa.feed_packet(packet)
-        return sa.finish()
+            shell = trace_header(fp.read(_TRACE_HEADER.size))
+            return cls._run(shell, iter_packets_chronological(fp), meta,
+                            span_ns, ncpus, kwargs)
 
     @classmethod
     def from_byte_stream(
@@ -194,26 +177,35 @@ class StreamingAnalysis(DerivedQueries):
         """Stream raw trace bytes arriving in arbitrary pieces (a socket,
         a pipe from the collection daemon)."""
         decoder = StreamDecoder()
-        sa: Optional[StreamingAnalysis] = None
-        for data in pieces:
-            packets = decoder.feed(data)
-            if sa is None and decoder.trace is not None:
-                shell = decoder.trace
-                sa = cls(
-                    ncpus=ncpus if ncpus is not None else shell.ncpus,
-                    start_ts=shell.start_ts,
-                    end_ts=shell.end_ts,
-                    meta=meta,
-                    span_ns=span_ns,
-                    **kwargs,
-                )
-            for packet in packets:
-                sa.feed_packet(packet)
-        decoder.finish()
-        if sa is None:
-            import io
+        packets = decoder.decode(pieces)
+        first = list(islice(packets, 1))  # the trace header is in by now
+        shell = decoder.trace
+        assert shell is not None  # else decode() raised at end of stream
+        return cls._run(shell, chain(first, packets), meta, span_ns, ncpus,
+                        kwargs)
 
-            read_trace_header(io.BytesIO(b""))  # raises the batch error
+    @classmethod
+    def _run(
+        cls,
+        shell: Trace,
+        packets: Iterable[Packet],
+        meta: Optional[TraceMeta],
+        span_ns: Optional[int],
+        ncpus: Optional[int],
+        kwargs: Dict[str, object],
+    ) -> "StreamingAnalysis":
+        """Analyze ``packets`` to the end under the header of ``shell``
+        (its own packets are not read)."""
+        sa = cls(
+            ncpus=ncpus if ncpus is not None else shell.ncpus,
+            start_ts=shell.start_ts,
+            end_ts=shell.end_ts,
+            meta=meta,
+            span_ns=span_ns,
+            **kwargs,
+        )
+        for packet in packets:
+            sa.feed_packet(packet)
         return sa.finish()
 
     # ------------------------------------------------------------------

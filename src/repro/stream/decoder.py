@@ -1,119 +1,59 @@
-"""Incremental CTF packet decoding.
+"""Packet decoding for the streaming analysis.
 
-:class:`StreamDecoder` accepts raw trace bytes in arbitrary-size pieces —
-as a collection daemon, socket, or pipe produces them — and yields each
-:class:`~repro.tracing.ctf.Packet` the moment its last byte arrives.  It
-checks each packet with the same helpers as the batch reader
-(:func:`repro.tracing.ctf.packet_header` and
-:func:`~repro.tracing.ctf.decode_packet`), so the two paths accept and
-reject exactly the same byte streams with the same messages.
+:class:`StreamDecoder` is :class:`repro.tracing.ctf.StreamDecoder`, the one
+trace reader, re-exported: it accepts raw trace bytes in arbitrary-size
+pieces — as a collection daemon, socket, or pipe produces them — and
+yields each :class:`~repro.tracing.ctf.Packet` the moment its last byte
+arrives.  ``Trace.from_bytes`` and ``Trace.read`` run the same decoder, so
+batch and streaming reads raise the same :class:`TraceFormatError` on the
+same bytes.
 
 :func:`iter_packets_chronological` re-orders a *seekable* trace file into
 packet ``begin_ts`` order with a header-only scan, so a streaming analysis
 of an on-disk trace (whose packets are laid out CPU-major) never has to
-buffer one CPU's whole stream while waiting for the others.
+buffer one CPU's whole stream while waiting for the others.  It checks
+headers and payloads with the decoder's helpers and words a truncated file
+the way the decoder does.
 """
 
 from __future__ import annotations
 
-from typing import BinaryIO, Iterator, List, Optional, Tuple
+import io
+from typing import BinaryIO, Iterator, List, Tuple
 
 from repro.tracing.ctf import (
     Packet,
-    Trace,
-    TraceFormatError,
+    StreamDecoder,
     _PACKET_HEADER,
-    _TRACE_HEADER,
-    _read_exact,
     decode_packet,
     packet_header,
-    read_trace_header,
+    truncation_error,
 )
 
-
-class StreamDecoder:
-    """Incremental bytes -> packets, tolerant of partial feeds.
-
-    Feed data with :meth:`feed`; it returns the packets completed by that
-    piece (possibly none, possibly several).  After the trace header has
-    been consumed the decoded shell is available as :attr:`trace`
-    (``ncpus``/``start_ts``/``end_ts``, no packets).  :meth:`finish`
-    raises :class:`TraceFormatError` if the stream ended mid-packet.
-    """
-
-    def __init__(self, expect_header: bool = True) -> None:
-        self._buf = bytearray()
-        self._need_header = expect_header
-        #: Parsed trace header shell (no packets), once available.
-        self.trace: Optional[Trace] = None
-        self.packets_decoded = 0
-
-    def feed(self, data: bytes) -> List[Packet]:
-        """Consume one piece of the stream; return completed packets."""
-        self._buf += data
-        out: List[Packet] = []
-        if self._need_header:
-            if len(self._buf) < _TRACE_HEADER.size:
-                return out
-            # Delegate validation to the batch reader for identical errors.
-            import io
-
-            self.trace = read_trace_header(
-                io.BytesIO(bytes(self._buf[: _TRACE_HEADER.size]))
-            )
-            del self._buf[: _TRACE_HEADER.size]
-            self._need_header = False
-        while True:
-            packet = self._try_packet()
-            if packet is None:
-                return out
-            out.append(packet)
-
-    def _try_packet(self) -> Optional[Packet]:
-        if len(self._buf) < _PACKET_HEADER.size:
-            return None
-        index = self.packets_decoded
-        header = packet_header(self._buf, index)
-        total = _PACKET_HEADER.size + header[5]  # header[5]: payload_bytes
-        if len(self._buf) < total:
-            return None
-        payload = bytes(self._buf[_PACKET_HEADER.size:total])
-        del self._buf[:total]
-        packet = decode_packet(header, payload, index)
-        self.packets_decoded += 1
-        return packet
-
-    def finish(self) -> None:
-        """Declare end of stream; residual bytes mean truncation."""
-        if self._need_header and self._buf:
-            raise TraceFormatError("truncated trace header")
-        if self._buf:
-            raise TraceFormatError(
-                f"truncated packet at end of stream (packet "
-                f"#{self.packets_decoded}: {len(self._buf)} residual bytes)"
-            )
+__all__ = ["StreamDecoder", "iter_packets_chronological"]
 
 
-def scan_packet_offsets(fp: BinaryIO) -> List[Tuple[int, int]]:
+def scan_packet_offsets(fp: BinaryIO) -> List[Tuple[int, int, int]]:
     """Header-only scan of a seekable stream positioned after the trace
-    header: returns ``(begin_ts, offset)`` per packet without reading any
-    payload bytes."""
-    out: List[Tuple[int, int]] = []
-    index = 0
-    while True:
-        offset = fp.tell()
-        head = _read_exact(fp, _PACKET_HEADER.size)
-        if not head:
-            return out
+    header: returns ``(begin_ts, index, offset)`` per packet without
+    reading any payload bytes.  A packet cut short by the end of the
+    stream raises the decoder's truncation error."""
+    out: List[Tuple[int, int, int]] = []
+    offset = fp.tell()
+    end = fp.seek(0, io.SEEK_END)
+    fp.seek(offset)
+    while offset < end:
+        index = len(out)
+        head = fp.read(_PACKET_HEADER.size)
         if len(head) < _PACKET_HEADER.size:
-            raise TraceFormatError(
-                f"truncated packet header (packet #{index}: "
-                f"{len(head)} of {_PACKET_HEADER.size} bytes)"
-            )
+            raise truncation_error(head, index)
         _, _, _, _, _, payload_bytes, begin_ts, _ = packet_header(head, index)
-        out.append((begin_ts, offset))
-        fp.seek(payload_bytes, 1)
-        index += 1
+        stop = offset + _PACKET_HEADER.size + payload_bytes
+        if stop > end:
+            raise truncation_error(head + fp.read(), index)
+        out.append((begin_ts, index, offset))
+        offset = fp.seek(stop)
+    return out
 
 
 def iter_packets_chronological(fp: BinaryIO) -> Iterator[Packet]:
@@ -126,12 +66,11 @@ def iter_packets_chronological(fp: BinaryIO) -> Iterator[Packet]:
     timestamp order via seeks.  The sort is stable, so each CPU's packets
     keep their (chronological) file order.
     """
-    from repro.tracing.ctf import iter_packets
-
     start = fp.tell()
-    index = scan_packet_offsets(fp)
-    index.sort(key=lambda item: item[0])
-    for _, offset in index:
+    packets = scan_packet_offsets(fp)
+    packets.sort(key=lambda item: item[0])
+    for _, index, offset in packets:
         fp.seek(offset)
-        yield next(iter_packets(fp))
+        header = packet_header(fp.read(_PACKET_HEADER.size), index)
+        yield decode_packet(header, fp.read(header[5]), index)
     fp.seek(start)

@@ -19,6 +19,14 @@ Layout (all little-endian)::
                    n_records u32, lost_before u32, payload_bytes u32,
                    begin_ts u64, end_ts u64,
                    then payload_bytes bytes (records, possibly compressed)
+
+Reading has one decoder, :class:`StreamDecoder`: it takes the bytes in
+pieces of any size and hands back each packet as its last byte arrives.
+:meth:`Trace.from_bytes` feeds it the whole buffer, :meth:`Trace.read`
+(and so :meth:`Trace.from_file`) the stream's reads until EOF, and
+:mod:`repro.stream` the pieces of a socket or pipe, so every reader
+accepts the same bytes and rejects damage with the same message wherever
+the pieces were cut.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import io
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator, List, Tuple, Union
+from typing import BinaryIO, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,30 +51,11 @@ FLAG_COMPRESSED = 0x0001
 
 _TRACE_HEADER = struct.Struct("<IHHQQQ")
 _PACKET_HEADER = struct.Struct("<IHHIIIQQ")
+_Bytes = Union[bytes, bytearray, memoryview]
 
 
 class TraceFormatError(ValueError):
     """Raised on malformed trace bytes."""
-
-
-def _read_exact(fp: BinaryIO, n: int) -> bytes:
-    """Read exactly ``n`` bytes, looping over short reads.
-
-    ``fp.read(n)`` is allowed to return fewer bytes than requested for any
-    non-regular stream (pipes, sockets, interactive readers); trusting a
-    single call silently mis-decodes a slow stream.  Only end of stream
-    ends the loop early — the caller decides whether a short result means
-    clean EOF or truncation.
-    """
-    chunks: List[bytes] = []
-    remaining = n
-    while remaining > 0:
-        chunk = fp.read(remaining)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 @dataclass
@@ -156,8 +145,8 @@ class Trace:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def from_bytes(data: Union[bytes, bytearray]) -> "Trace":
-        return Trace.read(io.BytesIO(bytes(data)))
+    def from_bytes(data: _Bytes) -> "Trace":
+        return _decode((data,))
 
     @staticmethod
     def from_file(path: str) -> "Trace":
@@ -166,22 +155,28 @@ class Trace:
 
     @staticmethod
     def read(fp: BinaryIO) -> "Trace":
-        trace = read_trace_header(fp)
-        trace.packets.extend(iter_packets(fp))
-        return trace
+        """Decode a stream to its end; short reads (pipes, sockets) are
+        just smaller pieces to the decoder."""
+        return _decode(iter(fp.read, b""))
 
 
-def read_trace_header(fp: BinaryIO) -> Trace:
-    """Decode the trace header, returning an empty :class:`Trace` shell.
+def _decode(pieces: Iterable[_Bytes]) -> Trace:
+    decoder = StreamDecoder()
+    packets = [packet for data in pieces for packet in decoder.feed(data)]
+    trace = decoder.finish()
+    trace.packets = packets
+    return trace
 
-    The shell carries ``ncpus``/``start_ts``/``end_ts``; the caller decides
-    whether to slurp packets into it (:meth:`Trace.read`) or to stream them
-    one at a time with :func:`iter_packets`.
-    """
-    header = _read_exact(fp, _TRACE_HEADER.size)
-    if len(header) < _TRACE_HEADER.size:
+
+def trace_header(buf: _Bytes) -> Trace:
+    """Decode the trace header at the start of ``buf`` into an empty
+    :class:`Trace` shell (``ncpus``/``start_ts``/``end_ts``, no
+    packets)."""
+    if len(buf) < _TRACE_HEADER.size:
         raise TraceFormatError("truncated trace header")
-    magic, version, ncpus, start_ts, end_ts, _ = _TRACE_HEADER.unpack(header)
+    magic, version, ncpus, start_ts, end_ts, _ = _TRACE_HEADER.unpack_from(
+        buf
+    )
     if magic != TRACE_MAGIC:
         raise TraceFormatError(f"bad trace magic: {magic:#x}")
     if version != VERSION:
@@ -189,9 +184,7 @@ def read_trace_header(fp: BinaryIO) -> Trace:
     return Trace(ncpus=ncpus, start_ts=start_ts, end_ts=end_ts)
 
 
-def packet_header(
-    buf: Union[bytes, bytearray], index: int
-) -> Tuple[int, ...]:
+def packet_header(buf: _Bytes, index: int) -> Tuple[int, ...]:
     """Unpack the packet header at the start of ``buf`` and check its
     magic; ``index`` numbers the packet in error messages.  Returns the
     header fields: ``(magic, cpu, flags, n_records, lost_before,
@@ -205,13 +198,11 @@ def packet_header(
 
 
 def decode_packet(
-    header: Tuple[int, ...], payload: bytes, index: int
+    header: Tuple[int, ...], payload: _Bytes, index: int
 ) -> Packet:
-    """Build the packet of a checked header and its complete payload:
-    inflate a compressed payload, then check its size against the record
-    count.  The batch reader (:func:`iter_packets`) and the streaming
-    decoder (:class:`repro.stream.decoder.StreamDecoder`) both call this,
-    so they reject the same bytes with the same messages."""
+    """Build the packet of a checked header and its complete stored
+    payload: inflate a compressed payload (or copy a raw one), then check
+    its size against the record count."""
     _, cpu, flags, n_records, lost, _, begin_ts, end_ts = header
     if flags & FLAG_COMPRESSED:
         try:
@@ -220,6 +211,8 @@ def decode_packet(
             raise TraceFormatError(
                 f"corrupt compressed packet (packet #{index}): {exc}"
             )
+    else:
+        payload = bytes(payload)
     if len(payload) != n_records * RECORD_SIZE:
         raise TraceFormatError(
             f"packet payload size mismatch on cpu {cpu} (packet #{index})"
@@ -234,35 +227,90 @@ def decode_packet(
     )
 
 
-def iter_packets(fp: BinaryIO) -> Iterator[Packet]:
-    """Yield packets one at a time from a stream positioned after the
-    trace header.
+def truncation_error(tail: _Bytes, index: int) -> TraceFormatError:
+    """The error for a stream that ends inside packet #``index``, of which
+    only ``tail`` (fewer bytes than the whole packet) arrived."""
+    if len(tail) < _PACKET_HEADER.size:
+        return TraceFormatError(
+            f"truncated packet header (packet #{index}: "
+            f"{len(tail)} of {_PACKET_HEADER.size} bytes)"
+        )
+    _, cpu, _, _, _, payload_bytes, _, _ = packet_header(tail, index)
+    return TraceFormatError(
+        f"truncated packet payload (packet #{index}, cpu {cpu}: "
+        f"{len(tail) - _PACKET_HEADER.size} of {payload_bytes} bytes)"
+    )
 
-    Packet-granular and short-read tolerant: every read loops until the
-    requested byte count arrives, so slow pipes decode identically to
-    files, and a stream cut mid-packet raises :class:`TraceFormatError`
-    naming the packet index instead of silently mis-decoding.
+
+class StreamDecoder:
+    """Incremental bytes -> packets: the one trace reader.
+
+    :meth:`feed` takes the stream in pieces of any size — the whole trace
+    at once, file reads, or socket chunks that split headers and payloads
+    anywhere — and returns the packets each piece completed.  Once the
+    trace header is in, :attr:`trace` holds its shell.  :meth:`finish`
+    declares end of stream and returns the shell, or raises
+    :class:`TraceFormatError` if the stream stopped short of the header
+    or inside a packet.  Every error depends on the bytes alone, never on
+    how they were split.
+
+    Packets are framed on the incoming piece itself; only the unconsumed
+    tail of a piece is kept, and each payload is copied once, into its
+    :class:`Packet`.
     """
-    index = 0
-    while True:
-        phead = _read_exact(fp, _PACKET_HEADER.size)
-        if not phead:
-            return
-        if len(phead) < _PACKET_HEADER.size:
-            raise TraceFormatError(
-                f"truncated packet header (packet #{index}: "
-                f"{len(phead)} of {_PACKET_HEADER.size} bytes)"
-            )
-        header = packet_header(phead, index)
-        cpu, payload_bytes = header[1], header[5]
-        payload = _read_exact(fp, payload_bytes)
-        if len(payload) < payload_bytes:
-            raise TraceFormatError(
-                f"truncated packet payload (packet #{index}, cpu {cpu}: "
-                f"{len(payload)} of {payload_bytes} bytes)"
-            )
-        yield decode_packet(header, payload, index)
-        index += 1
+
+    def __init__(self) -> None:
+        self._tail = bytearray()
+        #: Parsed trace header shell (no packets), once available.
+        self.trace: Optional[Trace] = None
+        self.packets_decoded = 0
+
+    def feed(self, data: _Bytes) -> List[Packet]:
+        """Consume the next piece of the stream; return the packets it
+        completed (possibly none, possibly several)."""
+        tail = self._tail
+        if tail:
+            tail += data
+            data = tail
+        out: List[Packet] = []
+        with memoryview(data) as view:
+            pos = 0
+            end = len(view)
+            if self.trace is None and end >= _TRACE_HEADER.size:
+                self.trace = trace_header(view)
+                pos = _TRACE_HEADER.size
+            while self.trace is not None and end - pos >= _PACKET_HEADER.size:
+                index = self.packets_decoded
+                header = packet_header(view[pos:], index)
+                stop = pos + _PACKET_HEADER.size + header[5]
+                if stop > end:
+                    break
+                out.append(decode_packet(
+                    header, view[pos + _PACKET_HEADER.size:stop], index
+                ))
+                self.packets_decoded += 1
+                pos = stop
+            if data is not tail:
+                tail += view[pos:]
+        if data is tail:
+            del tail[:pos]
+        return out
+
+    def decode(self, pieces: Iterable[_Bytes]) -> Iterator[Packet]:
+        """Feed ``pieces`` in order, yielding each packet as it completes,
+        then :meth:`finish`."""
+        for data in pieces:
+            yield from self.feed(data)
+        self.finish()
+
+    def finish(self) -> Trace:
+        """Declare end of stream; return the trace shell.  Raises if no
+        complete trace header arrived, or the stream ended mid-packet."""
+        if self.trace is None:
+            return trace_header(self._tail)  # short of a header: raises
+        if self._tail:
+            raise truncation_error(self._tail, self.packets_decoded)
+        return self.trace
 
 
 def packet_from_subbuffer(cpu: int, sb: SubBuffer) -> Packet:

@@ -275,40 +275,63 @@ class TestShortReads:
         # (including every mid-header and mid-payload offset) raises.
         assert len(boundary_offsets) == 2
 
-    def test_truncation_offsets_match_streaming_decoder(self):
-        """The incremental decoder accepts/rejects the same prefixes as
-        the batch reader, fed one byte at a time."""
-        from repro.stream import StreamDecoder
+    def test_truncation_messages(self):
+        """The reader names what a cut stream lacks: the trace header, a
+        packet header, or a payload."""
+        data = _two_packet_trace().to_bytes()
+        second = _TRACE_HEADER.size + _PACKET_HEADER.size + 2 * RECORD_SIZE
+        cases = {
+            0: "truncated trace header",
+            31: "truncated trace header",
+            _TRACE_HEADER.size + 10:
+                "truncated packet header (packet #0: 10 of 36 bytes)",
+            second + _PACKET_HEADER.size + 4:
+                "truncated packet payload (packet #1, cpu 1: 4 of 24 bytes)",
+        }
+        for cut, message in cases.items():
+            assert _batch(data[:cut]) == (None, message)
 
+    def test_truncation_offsets_match_streaming_decoder(self):
+        """At every cut offset, raw and compressed, the decoder fed one
+        byte at a time returns the trace, or raises the message, of
+        ``Trace.from_bytes`` on the same prefix."""
         trace = _two_packet_trace()
-        data = trace.to_bytes()
-        for cut in (10, 32, 40, len(data) - 4, len(data)):
-            try:
-                batch_packets = Trace.from_bytes(data[:cut]).packets
-                batch_error = None
-            except TraceFormatError as exc:
-                batch_packets, batch_error = None, str(exc)
-            decoder = StreamDecoder()
-            streamed = []
-            for i in range(cut):
-                streamed.extend(decoder.feed(data[i:i + 1]))
-            try:
-                decoder.finish()
-                stream_error = None
-            except TraceFormatError as exc:
-                stream_error = str(exc)
-            if batch_error is None:
-                assert stream_error is None
-                assert streamed == batch_packets
-            else:
-                # The wording differs (the incremental decoder cannot name
-                # header vs payload), but both must flag truncation at the
-                # same packet.
-                assert stream_error is not None
-                assert "truncated" in stream_error
-                if "#" in batch_error:
-                    packet_index = batch_error.split("#")[1][0]
-                    assert f"packet #{packet_index}" in stream_error
+        for compress in (False, True):
+            data = trace.to_bytes(compress=compress)
+            for cut in range(len(data) + 1):
+                prefix = data[:cut]
+                batch, batch_error = _batch(prefix)
+                stream, stream_error = _streamed(
+                    [prefix[i:i + 1] for i in range(cut)]
+                )
+                assert stream_error == batch_error, (compress, cut)
+                assert stream == batch, (compress, cut)
+
+
+def _batch(data):
+    """``(trace, None)`` of ``Trace.from_bytes(data)``, or ``(None,
+    message)`` if it raises :class:`TraceFormatError`; any other exception
+    propagates."""
+    try:
+        return Trace.from_bytes(data), None
+    except TraceFormatError as exc:
+        return None, str(exc)
+
+
+def _streamed(pieces):
+    """:func:`_batch` for a ``StreamDecoder`` fed ``pieces`` in order: the
+    finished header shell carrying every packet fed back, or the error
+    message."""
+    from repro.stream import StreamDecoder
+
+    decoder = StreamDecoder()
+    try:
+        packets = [p for piece in pieces for p in decoder.feed(piece)]
+        trace = decoder.finish()
+    except TraceFormatError as exc:
+        return None, str(exc)
+    trace.packets = packets
+    return trace, None
 
 
 # ----------------------------------------------------------------------
@@ -318,16 +341,9 @@ class TestShortReads:
 def _decode_errors(data):
     """The TraceFormatError messages of ``Trace.from_bytes`` and of a
     ``StreamDecoder`` fed one byte at a time, on the same bytes."""
-    from repro.stream import StreamDecoder
-
-    with pytest.raises(TraceFormatError) as batch:
-        Trace.from_bytes(data)
-    decoder = StreamDecoder()
-    with pytest.raises(TraceFormatError) as stream:
-        for i in range(len(data)):
-            decoder.feed(data[i:i + 1])
-        decoder.finish()
-    return str(batch.value), str(stream.value)
+    _, batch = _batch(data)
+    _, stream = _streamed([data[i:i + 1] for i in range(len(data))])
+    return batch, stream
 
 
 class TestDecoderParity:
@@ -354,3 +370,58 @@ class TestDecoderParity:
         assert batch.startswith("bad packet magic: ")
         assert batch.endswith("(packet #0)")
         assert stream == batch
+
+
+# ----------------------------------------------------------------------
+# Fuzz: damaged bytes decode alike however the stream is split.
+# ----------------------------------------------------------------------
+
+def _packet_spans(data):
+    """``(start, stop)`` byte range of every packet in well-formed trace
+    bytes."""
+    spans = []
+    pos = _TRACE_HEADER.size
+    while pos < len(data):
+        payload_bytes = _PACKET_HEADER.unpack_from(data, pos)[5]
+        spans.append((pos, pos + _PACKET_HEADER.size + payload_bytes))
+        pos = spans[-1][1]
+    return spans
+
+
+@st.composite
+def damaged_traces(draw):
+    """The two-packet trace, raw or compressed, with overwritten
+    ``n_records``/``payload_bytes`` fields, bit flips, a duplicated byte
+    range (sometimes a whole packet) and a truncation, each optional."""
+    data = bytearray(
+        _two_packet_trace().to_bytes(compress=draw(st.booleans()))
+    )
+    spans = _packet_spans(data)
+    for _ in range(draw(st.integers(0, 2))):
+        start, _ = draw(st.sampled_from(spans))
+        field = draw(st.sampled_from((8, 16)))  # n_records, payload_bytes
+        value = draw(st.integers(0, 64) | st.integers(0, 2**32 - 1))
+        struct.pack_into("<I", data, start + field, value)
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(
+            st.integers(0, 7)
+        )
+    if draw(st.booleans()):
+        offsets = st.integers(0, len(data))
+        a, b = draw(st.sampled_from(spans) | st.tuples(offsets, offsets))
+        a, b = min(a, b), max(a, b)
+        data[b:b] = data[a:b]
+    cut = draw(st.just(len(data)) | st.integers(0, len(data)))
+    return bytes(data[:cut])
+
+
+@given(damaged=damaged_traces(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_bytes_decode_alike_however_split(damaged, data):
+    """``Trace.from_bytes`` and the decoder fed the same bytes in random
+    pieces return equal traces, or raise ``TraceFormatError`` with the
+    identical message; any other exception fails the test."""
+    cuts = data.draw(st.lists(st.integers(0, len(damaged)), max_size=8))
+    bounds = [0, *sorted(cuts), len(damaged)]
+    pieces = [damaged[a:b] for a, b in zip(bounds, bounds[1:])]
+    assert _streamed(pieces) == _batch(damaged)

@@ -35,7 +35,7 @@ from repro.simkernel.distributions import from_stats
 from repro.simkernel.task import TaskState
 from repro.core.model import PREEMPT_EVENT, ActivityTable, TraceMeta
 from repro.stream import StreamingAnalysis
-from repro.tracing.ctf import Packet, Trace
+from repro.tracing.ctf import Packet, Trace, TraceFormatError
 from repro.tracing.events import Ev
 from repro.tracing.tracer import Tracer
 from repro.util.units import MSEC
@@ -681,8 +681,36 @@ def test_byte_stream_matches_batch(chunk, compress):
 
 
 def test_byte_stream_empty_raises_batch_error():
-    with pytest.raises(Exception, match="truncated"):
+    with pytest.raises(TraceFormatError) as batch:
+        Trace.from_bytes(b"")
+    with pytest.raises(TraceFormatError) as stream:
         StreamingAnalysis.from_byte_stream([])
+    assert str(stream.value) == str(batch.value)
+
+
+def test_analyze_file_words_damage_like_the_reader(tmp_path):
+    """A trace file cut anywhere but a packet boundary — mid trace
+    header, mid packet header, mid payload — makes the chronological
+    reader raise the message ``Trace.from_file`` raises on that file."""
+    trace = Trace(ncpus=2, start_ts=0, end_ts=200,
+                  packets=packets_for(rich_two_cpu_records()))
+    path = tmp_path / "cut.lttnz"
+    seen = set()
+    for compress in (False, True):
+        data = trace.to_bytes(compress=compress)
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            try:
+                Trace.from_file(str(path))
+                continue
+            except TraceFormatError as exc:
+                want = str(exc)
+            with pytest.raises(TraceFormatError) as got:
+                StreamingAnalysis.analyze_file(str(path), meta=meta())
+            assert str(got.value) == want, (compress, cut)
+            seen.add(want.split(" (")[0])
+    assert seen == {"truncated trace header", "truncated packet header",
+                    "truncated packet payload"}
 
 
 # ----------------------------------------------------------------------
