@@ -82,15 +82,16 @@ def _per_record_rounds(benchmark, fn, records, rounds):
     return result
 
 
-def _ns_per_record(round_ns, records, prefix=""):
-    """Wall ns per record over the rounds: min, median and p95."""
+def _ns_per_record(round_ns, records, prefix="", unit="record"):
+    """Wall ns per record (or other ``unit``) over the rounds: min,
+    median and p95."""
     per_record = sorted(ns / records for ns in round_ns)
     p95 = per_record[max(0, -(-len(per_record) * 95 // 100) - 1)]
     return {
-        f"{prefix}ns_per_record_min": round(per_record[0], 1),
-        f"{prefix}ns_per_record_median": round(
+        f"{prefix}ns_per_{unit}_min": round(per_record[0], 1),
+        f"{prefix}ns_per_{unit}_median": round(
             per_record[len(per_record) // 2], 1),
-        f"{prefix}ns_per_record_p95": round(p95, 1),
+        f"{prefix}ns_per_{unit}_p95": round(p95, 1),
     }
 
 
@@ -145,6 +146,79 @@ def test_perf_analysis_1ms_windows(benchmark, amg_trace):
         windows_emitted=result.windows_emitted, engine_blocks=blocks,
     )
     assert blocks == plain_blocks
+
+
+def test_perf_match_and_fold(benchmark, amg_trace):
+    """The two analysis kernels that sort nothing they need not, on the
+    1 s AMG trace: ENTRY/EXIT matching of the batch engine's one block
+    (``_match_frames_vectorized``, per frame depth) and the streaming
+    moments fold of its finished table (``_fold_moments``, exact sums of
+    squares in numpy).
+
+    One round runs each kernel once, so they take turns on the host.
+    ``extra_info`` carries matcher ns per ENTRY/EXIT token and fold ns
+    per folded row (min, median, p95).  Both results must equal their
+    references byte for byte: the sequential stack walk's table and open
+    frames, and the Python-int loop's moments."""
+    from reference import fold_moments_ref
+    from repro.core.engine import StreamEngine, is_window
+    from repro.core.nesting import (
+        ActivityStackWalker, _match_frames_vectorized, _match_frames_walk,
+    )
+    from repro.stream.window import _fold_moments
+    from repro.tracing.events import FIRST_POINT_EVENT
+
+    trace, meta = amg_trace
+    engine = StreamEngine(meta, on_rows=lambda rows, seq: None)
+    for packet in sorted(trace.packets, key=lambda p: p.begin_ts):
+        engine.feed_packet(packet)
+    block = engine.process_to(None)
+    tokens = block[block["event"] < FIRST_POINT_EVENT]
+    rows = NoiseAnalysis(trace, meta=meta).table.data
+    rows = rows[~rows["truncated"]]
+    fold_args = (
+        rows["event"], np.where(is_window(rows["event"]), rows["pid"], -1),
+        rows["is_noise"], rows["self_ns"],
+    )
+
+    round_ns = {"matcher": [], "fold": []}
+    out = {}
+
+    def one_round():
+        t0 = time.perf_counter_ns()
+        walker = ActivityStackWalker()
+        out["matcher"] = (
+            _match_frames_vectorized(tokens, walker, meta), walker)
+        t1 = time.perf_counter_ns()
+        out["fold"] = ({}, {})
+        _fold_moments(*out["fold"], *fold_args)
+        t2 = time.perf_counter_ns()
+        round_ns["matcher"].append(t1 - t0)
+        round_ns["fold"].append(t2 - t1)
+
+    benchmark.pedantic(one_round, rounds=20, iterations=1)
+    benchmark.extra_info.update(
+        tokens=len(tokens), rows=len(rows),
+        **_ns_per_record(round_ns["matcher"], len(tokens), "matcher.",
+                         "token"),
+        **_ns_per_record(round_ns["fold"], len(rows), "fold.", "row"),
+    )
+
+    table, walker = out["matcher"]
+    walked = ActivityStackWalker()
+    want = _match_frames_walk(tokens, walked, meta)
+    assert len(table) > 10_000
+    assert table.data.tobytes() == want.data.tobytes()
+    assert walker._stacks == {c: s for c, s in walked._stacks.items() if s}
+    want = ({}, {})
+    fold_moments_ref(*want, *fold_args)
+    assert [
+        [(k, (m.count, m.total, m.mn, m.mx, m.sq)) for k, m in t.items()]
+        for t in out["fold"]
+    ] == [
+        [(k, (m.count, m.total, m.mn, m.mx, m.sq)) for k, m in t.items()]
+        for t in want
+    ]
 
 
 def test_perf_stream_timeline(benchmark, amg_trace):

@@ -310,6 +310,15 @@ class NoiseAnalysis(DerivedQueries):
         block, self._block = self._block, None
         return take_rows(block, block["time"].argsort(kind="stable"))
 
+    def task_state_records(self) -> np.ndarray:
+        """The ``TASK_STATE`` records, in the engine's block order when
+        :attr:`records` has not sorted it yet.  :class:`TaskTimeline`
+        sorts them by (pid, time) itself, and rows with equal (pid, time)
+        are in (cpu, per-CPU) order in either order, so the timeline is
+        the same without a sort of every record."""
+        block = self.records if self._block is None else self._block
+        return take_rows(block, block["event"] == int(Ev.TASK_STATE))
+
     @property
     def activities(self) -> List[Activity]:
         """Object view of the table (materialized lazily, then cached)."""

@@ -295,7 +295,9 @@ def full_report(analysis, meta=None) -> str:
         "per-CPU noise: "
         + "  ".join(f"cpu{i}={fmt_ns(int(v))}" for i, v in enumerate(per_cpu))
     )
-    timeline = TaskTimeline(analysis.records, meta=meta, end_ts=analysis.end_ts)
+    timeline = TaskTimeline(
+        analysis.task_state_records(), meta=meta, end_ts=analysis.end_ts
+    )
     rows = timeline.summary()
     if rows:
         lines = [

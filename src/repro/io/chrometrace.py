@@ -175,13 +175,14 @@ def trace_events(
 
 def analysis_trace_events(analysis) -> List[dict]:
     """:func:`trace_events` of one analysis: its table, the task states
-    of its records and CPUs ``0..ncpus-1``.  ``lttng-noise export
+    of its ``TASK_STATE`` records and CPUs ``0..ncpus-1``.  ``lttng-noise export
     --chrome`` writes these events and the service's ``chrome`` render
     returns them."""
     from repro.core.timeline import TaskTimeline
 
     timeline = TaskTimeline(
-        analysis.records, meta=analysis.meta, end_ts=analysis.end_ts
+        analysis.task_state_records(), meta=analysis.meta,
+        end_ts=analysis.end_ts,
     )
     return trace_events(
         analysis.table, analysis.meta, timeline=timeline,

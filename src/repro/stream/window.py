@@ -55,6 +55,12 @@ from repro.util.stats import DurationStats
 from repro.util.units import SEC
 
 
+#: Values below this square exactly in uint64.
+_SQUARE_EXACT = 1 << 32
+_HALF_BITS = np.uint64(32)
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+
+
 class Moments:
     """Exact integer moments of one duration population."""
 
@@ -214,7 +220,14 @@ def _fold_moments(
 ) -> None:
     """Fold ``values`` into the moments keyed by ``(event, pid)`` — every
     value into ``all_moments``, noise values also into ``noise_moments``
-    — one group at a time; sums of squares are taken in Python ints."""
+    — one group at a time.
+
+    Sums of squares are exact.  A value in ``[0, 2**32)`` squares exactly
+    in uint64; each group sums the low and the high 32-bit halves of its
+    squares apart (neither sum can overflow below 2**32 rows), and Python
+    ints join the two.  A block holding any other value squares its
+    values in Python ints instead.
+    """
     order = np.lexsort((noise, pids, events))
     events = events[order]
     pids = pids[order]
@@ -227,24 +240,31 @@ def _fold_moments(
         | (noise[1:] != noise[:-1])
     )
     heads = np.flatnonzero(new)
-    ends = np.append(heads[1:], len(values)).tolist()
+    ends = np.append(heads[1:], len(values))
     totals = np.add.reduceat(values, heads).tolist()
     mins = np.minimum.reduceat(values, heads).tolist()
     maxs = np.maximum.reduceat(values, heads).tolist()
-    flat = values.tolist()
-    for i, (head, event, pid, is_noise) in enumerate(zip(
-        heads.tolist(), events[heads].tolist(), pids[heads].tolist(),
+    if min(mins) >= 0 and max(maxs) < _SQUARE_EXACT:
+        squares = values.astype(np.uint64)
+        squares *= squares
+        low = np.add.reduceat(squares & _LOW_HALF, heads).tolist()
+        high = np.add.reduceat(squares >> _HALF_BITS, heads).tolist()
+        sqs = [(hi << 32) + lo for hi, lo in zip(high, low)]
+    else:
+        flat = values.tolist()
+        parts = (flat[a:b] for a, b in zip(heads.tolist(), ends.tolist()))
+        sqs = [sum(map(mul, part, part)) for part in parts]
+    counts = (ends - heads).tolist()
+    for key, is_noise, moments in zip(
+        zip(events[heads].tolist(), pids[heads].tolist()),
         noise[heads].tolist(),
-    )):
-        part = flat[head:ends[i]]
-        moments = (
-            len(part), totals[i], mins[i], maxs[i], sum(map(mul, part, part))
-        )
+        zip(counts, totals, mins, maxs, sqs),
+    ):
         tables = (all_moments, noise_moments) if is_noise else (all_moments,)
         for table in tables:
-            acc = table.get((event, pid))
+            acc = table.get(key)
             if acc is None:
-                acc = table[(event, pid)] = Moments()
+                acc = table[key] = Moments()
             acc.fold(*moments)
 
 

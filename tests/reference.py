@@ -7,9 +7,9 @@ the columnar :class:`~repro.core.model.ActivityTable` refactor.  It exists
 for two purposes:
 
 * the differential property tests (``tests/test_columnar.py``,
-  ``tests/test_timeline.py``) check that the columnar pipeline's outputs
-  are **exactly** equal to this implementation on randomized record
-  streams;
+  ``tests/test_timeline.py``, ``tests/test_stream.py``) check that the
+  columnar pipeline's outputs are **exactly** equal to this
+  implementation on randomized record streams and moments folds;
 * ``benchmarks/bench_perf_pipeline.py`` measures the columnar analyze
   phase against this baseline (the ≥5× acceptance bar).
 
@@ -20,6 +20,7 @@ original.
 from __future__ import annotations
 
 import bisect
+from operator import mul
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.core.model import (
 )
 from repro.core.timeline import StateInterval
 from repro.simkernel.task import TaskKind, TaskState
+from repro.stream.window import Moments
 from repro.tracing.ctf import Trace
 from repro.tracing.events import (
     Ev,
@@ -679,3 +681,46 @@ class ReferenceTimeline:
                 else 0,
             }
         return out
+
+
+def fold_moments_ref(
+    all_moments: Dict[Tuple[int, int], Moments],
+    noise_moments: Dict[Tuple[int, int], Moments],
+    events: np.ndarray,
+    pids: np.ndarray,
+    noise: np.ndarray,
+    values: np.ndarray,
+) -> None:
+    """Original :func:`repro.stream.window._fold_moments`: every group's
+    sum of squares taken in Python ints, one value at a time."""
+    order = np.lexsort((noise, pids, events))
+    events = events[order]
+    pids = pids[order]
+    noise = noise[order]
+    values = values[order]
+    new = np.empty(len(values), dtype=bool)
+    new[0] = True
+    new[1:] = (
+        (events[1:] != events[:-1]) | (pids[1:] != pids[:-1])
+        | (noise[1:] != noise[:-1])
+    )
+    heads = np.flatnonzero(new)
+    ends = np.append(heads[1:], len(values)).tolist()
+    totals = np.add.reduceat(values, heads).tolist()
+    mins = np.minimum.reduceat(values, heads).tolist()
+    maxs = np.maximum.reduceat(values, heads).tolist()
+    flat = values.tolist()
+    for i, (head, event, pid, is_noise) in enumerate(zip(
+        heads.tolist(), events[heads].tolist(), pids[heads].tolist(),
+        noise[heads].tolist(),
+    )):
+        part = flat[head:ends[i]]
+        moments = (
+            len(part), totals[i], mins[i], maxs[i], sum(map(mul, part, part))
+        )
+        tables = (all_moments, noise_moments) if is_noise else (all_moments,)
+        for table in tables:
+            acc = table.get((event, pid))
+            if acc is None:
+                acc = table[(event, pid)] = Moments()
+            acc.fold(*moments)

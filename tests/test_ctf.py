@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tracing.ctf import (
+    PACKET_MAGIC,
+    TRACE_MAGIC,
     Packet,
     Trace,
     TraceFormatError,
@@ -370,6 +372,95 @@ class TestDecoderParity:
         assert batch.startswith("bad packet magic: ")
         assert batch.endswith("(packet #0)")
         assert stream == batch
+
+
+class TestPayloadBound:
+    """A packet header's ``payload_bytes`` must fit its record count, so
+    a bogus header cannot make the decoder buffer the stream behind it."""
+
+    def _bogus(self, flags, payload_bytes):
+        header = _TRACE_HEADER.pack(TRACE_MAGIC, 2, 1, 0, 100, 0)
+        return header + _PACKET_HEADER.pack(
+            PACKET_MAGIC, 0, flags, 1, 0, payload_bytes, 0, 100
+        )
+
+    @pytest.mark.parametrize("flags,payload_bytes", [
+        (0, 0xFFFFFFFF), (0, RECORD_SIZE + 1), (1, 0xFFFFFFFF),
+        (1, RECORD_SIZE + 14),
+    ])
+    def test_bogus_size_raises_on_first_feed(self, flags, payload_bytes):
+        """8 MiB behind a header that claims more than its one record
+        allows, fed in 64 KiB pieces: the first feed raises and the
+        decoder holds no more than a header's bytes."""
+        from repro.tracing.ctf import StreamDecoder
+
+        data = self._bogus(flags, payload_bytes) + bytes(8 << 20)
+        decoder = StreamDecoder()
+        with pytest.raises(TraceFormatError) as exc:
+            decoder.feed(data[:64 * 1024])
+        assert str(exc.value) == (
+            "packet payload size mismatch on cpu 0 (packet #0)"
+        )
+        assert len(decoder._tail) <= _PACKET_HEADER.size
+        decoder = StreamDecoder()
+        with pytest.raises(TraceFormatError):
+            for i in range(len(data)):
+                decoder.feed(data[i:i + 1])
+        assert i == _TRACE_HEADER.size + _PACKET_HEADER.size - 1
+        assert len(decoder._tail) <= _PACKET_HEADER.size
+
+    def test_compressed_payload_up_to_zlib_worst_case(self):
+        """Stored (level 0) deflate of incompressible records is larger
+        than the records, and still within the bound."""
+        import os
+        import zlib
+
+        payload = os.urandom(RECORD_SIZE * 100)
+        packed = zlib.compress(payload, level=0)
+        assert len(packed) > len(payload)
+        data = (
+            _TRACE_HEADER.pack(TRACE_MAGIC, 2, 1, 0, 100, 0)
+            + _PACKET_HEADER.pack(
+                PACKET_MAGIC, 0, 1, 100, 0, len(packed), 0, 100)
+            + packed
+        )
+        assert Trace.from_bytes(data).packets[0].payload == payload
+
+
+class ShortReader:
+    """A file object whose reads return fewer bytes than asked (a
+    different, seeded amount each time) and that records every size
+    asked for."""
+
+    def __init__(self, data, seed=0):
+        self._buf = io.BytesIO(data)
+        self._rng = np.random.default_rng(seed)
+        self.asked = []
+
+    def read(self, n=-1):
+        self.asked.append(n)
+        if n < 0:
+            return self._buf.read()
+        return self._buf.read(int(self._rng.integers(1, max(2, n // 3))))
+
+
+def test_read_asks_for_bounded_pieces():
+    """``Trace.read`` asks for ``READ_SIZE`` bytes at a time, never the
+    whole stream, and short reads decode to the same trace."""
+    from repro.tracing.ctf import READ_SIZE
+
+    records = tuple((i, 1, i % 2, i % 2, 1000, i) for i in range(20_000))
+    trace = Trace(ncpus=2, start_ts=0, end_ts=20_000, packets=[
+        make_packet(cpu=0, records=records),
+        make_packet(cpu=1, records=records[:10_000]),
+    ])
+    data = trace.to_bytes()
+    assert len(data) > 2 * READ_SIZE
+    reader = ShortReader(data)
+    back = Trace.read(reader)
+    assert back.packets == Trace.from_bytes(data).packets
+    assert set(reader.asked) == {READ_SIZE}
+    assert len(reader.asked) > len(data) // READ_SIZE
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,10 @@ from repro.core import NoiseAnalysis
 from repro.simkernel import ComputeNode, NodeConfig, TaskKind
 from repro.simkernel.distributions import from_stats
 from repro.simkernel.task import TaskState
-from repro.core.model import PREEMPT_EVENT, ActivityTable, TraceMeta
+from repro.core.engine import is_window
+from repro.core.model import (
+    PREEMPT_EVENT, TRACER_PREEMPT_EVENT, ActivityTable, TaskInfo, TraceMeta,
+)
 from repro.stream import StreamingAnalysis
 from repro.tracing.ctf import Packet, Trace, TraceFormatError
 from repro.tracing.events import Ev
@@ -624,6 +627,80 @@ def test_random_streams_match_batch(stream, window_ns, quantum, epoch):
                   packets=packets)
     assert_equivalent(trace, meta(), quanta=(quantum,), window_ns=window_ns,
                       live=True)
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: the exact moments fold against the Python-int loop
+# ----------------------------------------------------------------------
+
+#: Durations at the edges of the uint64-squares path: squares near 2**62
+#: and just below 2**64 (a value under 2**32), and values past it.
+_EDGE_NS = st.sampled_from((2**31, 2**32)).flatmap(
+    lambda edge: st.integers(edge - 3, edge + 3)
+)
+
+
+#: Two daemons that share a name, and one more.
+_KWORKERS = TraceMeta({
+    300: TaskInfo(300, "kworker", TaskKind.KDAEMON),
+    301: TaskInfo(301, "kworker", TaskKind.KDAEMON),
+    302: TaskInfo(302, "events", TaskKind.KDAEMON),
+})
+
+
+@st.composite
+def moment_blocks(draw):
+    """Blocks of ``(event, pid, noise, self_ns)`` rows: kernel events
+    (pid -1) and preemption windows, both kinds, of the ``_KWORKERS``
+    daemons; durations small or at the 2**31 / 2**32 edges, and often
+    one-row groups."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 12))
+        events = draw(st.lists(st.sampled_from((
+            int(Ev.IRQ_TIMER), int(Ev.EXC_PAGE_FAULT), PREEMPT_EVENT,
+            TRACER_PREEMPT_EVENT,
+        )), min_size=n, max_size=n))
+        pids = [
+            draw(st.sampled_from((300, 301, 302))) if is_window(e) else -1
+            for e in events
+        ]
+        noise = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        values = draw(st.lists(
+            st.integers(0, 10**6) | _EDGE_NS, min_size=n, max_size=n))
+        blocks.append((
+            np.array(events, dtype=np.int32), np.array(pids, dtype=np.int64),
+            np.array(noise), np.array(values, dtype=np.int64),
+        ))
+    return blocks
+
+
+def _moments(table):
+    return [(key, (m.count, m.total, m.mn, m.mx, m.sq))
+            for key, m in table.items()]
+
+
+@given(blocks=moment_blocks())
+@settings(max_examples=300, deadline=None)
+def test_moments_fold_matches_python_ints(blocks):
+    """Folded block by block, the numpy fold and the Python-int loop of
+    ``tests/reference.py`` build the same moments (sums of squares
+    exact) under the same keys in the same order, and so the same
+    moments per display name."""
+    from reference import fold_moments_ref
+    from repro.stream.window import WindowMerger, _fold_moments
+
+    got = WindowMerger(1, 0, _KWORKERS)
+    want = WindowMerger(1, 0, _KWORKERS)
+    for block in blocks:
+        _fold_moments(got._all, got._noise, *block)
+        fold_moments_ref(want._all, want._noise, *block)
+    for table in ("_all", "_noise"):
+        assert (_moments(getattr(got, table))
+                == _moments(getattr(want, table)))
+    for noise_only in (False, True):
+        assert (_moments(got.moments_by_name(noise_only))
+                == _moments(want.moments_by_name(noise_only)))
 
 
 # ----------------------------------------------------------------------

@@ -208,3 +208,87 @@ def test_timeline_matches_reference(data, instants):
             assert mine.dtype == theirs.dtype == np.int64
             assert mine.tolist() == theirs.tolist()
     assert got.summary() == want.summary()
+
+
+# ----------------------------------------------------------------------
+# The analysis feeds the timeline its TASK_STATE records unsorted.
+# ----------------------------------------------------------------------
+
+def _timeline_columns(records, analysis):
+    tl = TaskTimeline(records, meta=analysis.meta, end_ts=analysis.end_ts)
+    return (tl._start.tobytes(), tl._end.tobytes(), tl._state.tobytes(),
+            tl._rows)
+
+
+def _assert_block_order_timeline(analysis):
+    """The timeline of ``task_state_records`` (read first, so in engine
+    block order) equals the timeline of every time-sorted record."""
+    got = _timeline_columns(analysis.task_state_records(), analysis)
+    assert got == _timeline_columns(analysis.records, analysis)
+
+
+_GOLDEN_RUNS = [(app, seed) for app in
+                ("AMG", "IRS", "LAMMPS", "SPHOT", "UMT", "FTQ")
+                for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("app,seed", _GOLDEN_RUNS,
+                         ids=[f"{a}-{s}" for a, s in _GOLDEN_RUNS])
+def test_task_states_in_block_order_on_golden_runs(app, seed):
+    """On the ``test_golden.py`` runs (100 ms, 8 CPUs)."""
+    from repro.core import NoiseAnalysis
+    from repro.exec.spec import RunSpec
+    from repro.util.units import MSEC
+
+    trace, m = RunSpec.make(app, 100 * MSEC, seed, 8).execute()
+    _assert_block_order_timeline(NoiseAnalysis(trace, meta=m))
+
+
+def test_task_states_in_block_order_out_of_time_order():
+    """Records the tracer never writes: a raw array in random order, and
+    one packet's records shuffled (behind lost events).  The hand-built
+    array, fed backwards, puts one task in two states at one time on two
+    CPUs (the lower CPU's comes first) and on one (feed order), so the
+    tie order decides its intervals."""
+    import dataclasses
+
+    from repro.core import NoiseAnalysis
+    from repro.tracing.ctf import Trace
+    from repro.exec.spec import RunSpec
+    from repro.util.units import MSEC
+
+    ties = (
+        RecordBuilder()
+        .state(0, RANK, TaskState.RUNNING)
+        .state(10, RANK, TaskState.RUNNABLE, cpu=1)
+        .state(10, RANK, TaskState.RUNNING, cpu=0)
+        .state(20, RANK, TaskState.BLOCKED, cpu=1)
+        .state(20, RANK, TaskState.RUNNABLE, cpu=1)
+        .state(30, RANK, TaskState.RUNNING)
+        .build()
+    )[::-1]
+    analysis = NoiseAnalysis(ties, meta=meta())
+    assert [(i.start, i.end, i.state) for i in TaskTimeline(
+        analysis.task_state_records(), meta=meta(), end_ts=40,
+    ).intervals(RANK)] == [
+        (0, 10, TaskState.RUNNING), (10, 20, TaskState.RUNNABLE),
+        (20, 30, TaskState.BLOCKED), (30, 40, TaskState.RUNNING),
+    ]
+    _assert_block_order_timeline(analysis)
+
+    trace, m = RunSpec.make("AMG", 100 * MSEC, 1, 8).execute()
+    records = trace.records()
+    shuffled = records[np.random.default_rng(7).permutation(len(records))]
+    _assert_block_order_timeline(NoiseAnalysis(shuffled, meta=m))
+
+    packets = list(trace.packets)
+    victim = packets[3]
+    rows = victim.records()
+    packets[3] = dataclasses.replace(
+        victim, lost_before=2,
+        payload=rows[np.random.default_rng(3).permutation(len(rows))]
+        .tobytes(),
+    )
+    _assert_block_order_timeline(NoiseAnalysis(
+        Trace(trace.ncpus, trace.start_ts, trace.end_ts, packets), meta=m
+    ))
