@@ -147,3 +147,74 @@ def test_service_hit_rps_scales_with_clients(warm_server):
     assert ratio > 0.5, (
         f"8-client hit throughput collapsed to {ratio:.2f}x of 1 client"
     )
+
+
+#: The serve workload's job shape; each is rendered cold once, then warm.
+MEMO_SPECS = [RunSpec.make("LAMMPS", 100 * MSEC, seed, 8) for seed in range(10)]
+MEMO_PATHS = {
+    "result": "result", "report": "render/report",
+    "chart": "render/chart", "timeline": "render/timeline",
+    "chrome": "render/chrome",
+}
+MEMO_HITS = 5
+
+
+def _ms_stats(values, prefix):
+    ordered = sorted(values)
+    p95 = ordered[max(0, -(-len(ordered) * 95 // 100) - 1)]
+    return {
+        f"{prefix}_ms_min": round(ordered[0], 3),
+        f"{prefix}_ms_median": round(ordered[len(ordered) // 2], 3),
+        f"{prefix}_ms_p95": round(p95, 3),
+    }
+
+
+def test_perf_render_memo(benchmark, tmp_path):
+    """A done job's result and renders, first (a memo miss: store read,
+    analysis, render or JSON encoding) and repeated (a memo hit), over
+    one keep-alive connection.  One round takes the next of ten LAMMPS
+    100 ms jobs through every kind once cold and ``MEMO_HITS`` times
+    warm.  ``extra_info`` carries miss and hit ms per kind (min, median,
+    p95); every hit must return the miss's bytes."""
+    import http.client
+
+    server = _Server(str(tmp_path / "store"))
+    try:
+        with ServiceClient("127.0.0.1", server.port) as client:
+            job_ids = [client.submit(spec)["job"]["id"]
+                       for spec in MEMO_SPECS]
+            for job_id in job_ids:
+                assert client.wait(job_id)["state"] == "done"
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=60)
+        ms = {kind: {"miss": [], "hit": []} for kind in MEMO_PATHS}
+        mismatched = []
+
+        def get(path):
+            t0 = time.perf_counter()
+            conn.request("GET", path)
+            response = conn.getresponse()
+            body = response.read()
+            assert response.status == 200, (path, body[:200])
+            return (time.perf_counter() - t0) * 1e3, body
+
+        def one_round():
+            job_id = job_ids[len(ms["result"]["miss"])]
+            for kind, sub in MEMO_PATHS.items():
+                path = f"/v1/jobs/{job_id}/{sub}"
+                elapsed, first = get(path)
+                ms[kind]["miss"].append(elapsed)
+                for _ in range(MEMO_HITS):
+                    elapsed, body = get(path)
+                    ms[kind]["hit"].append(elapsed)
+                    if body != first:
+                        mismatched.append(path)
+
+        benchmark.pedantic(one_round, rounds=len(job_ids), iterations=1)
+        conn.close()
+    finally:
+        server.shutdown()
+    for kind, outcomes in ms.items():
+        for outcome, values in outcomes.items():
+            benchmark.extra_info.update(_ms_stats(values, f"{kind}.{outcome}"))
+    assert mismatched == []

@@ -273,11 +273,18 @@ class SweepPlan:
         busy_s = 0.0
         used_processes = False
 
+        # A re-run of a campaign the journal has all done changes no
+        # state: its store hits are not journaled again.  A resumed
+        # campaign does journal the done specs it reuses (`obs tail`
+        # counts them as cached).
+        finished = all(prior.get(token) == "done" for token in self.tokens)
+
         def finish(result: RunResult) -> None:
             by_spec[result.spec] = result
-            if journal is not None:
+            token = self._tokens[result.spec]
+            if journal is not None and not (finished and result.cached):
                 journal.record(
-                    self._tokens[result.spec], "done",
+                    token, "done",
                     cached=result.cached,
                     elapsed_s=round(result.elapsed_s, 6),
                 )

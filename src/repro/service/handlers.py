@@ -22,6 +22,13 @@ only for spec jobs whose entry has not been evicted — upload jobs keep
 no trace by design (that is the memory bound), so they serve ``analyze``
 only.
 
+A done job never changes (a spec job's id is its content token), so its
+``result`` body and its renders are memoized: one LRU of finished 200
+responses keyed by ``(job id, kind, params)`` and bounded by
+:data:`MEMO_BYTES` of body.  A repeated GET is answered on the event
+loop with the first response's bytes — also after the store evicted the
+run, since those bytes cannot change.
+
 Every request runs under an ``obs`` span with a method+route counter and
 a latency histogram, and the job table publishes ``service.*`` gauges —
 ``GET /metrics`` exposes the server's own behaviour through the same
@@ -34,7 +41,8 @@ import asyncio
 import json
 import signal
 import time
-from typing import Any, Dict, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro import obs
 from repro.exec.spec import RunSpec, resolve_factory
@@ -44,6 +52,10 @@ from repro.service.jobs import JOB_DONE, JOB_FAILED, Job, JobTable
 
 #: Render kinds served under ``/v1/jobs/<id>/render/<kind>``.
 RENDER_KINDS = ("analyze", "report", "chart", "timeline", "chrome")
+
+#: Body bytes the response memo holds at most; a larger body is served
+#: but not kept.
+MEMO_BYTES = 8 << 20
 
 
 def _parse_spec(body: bytes) -> RunSpec:
@@ -87,12 +99,58 @@ def _int_query(request: Request, name: str, default: int,
     return value
 
 
+def _render_params(kind: str, request: Request) -> Tuple[int, ...]:
+    """The validated query of a render: ``(top,)`` for ``chart``,
+    ``(width,)`` for ``timeline``, ``()`` for the other kinds."""
+    if kind == "chart":
+        return (_int_query(request, "top", 20),)
+    if kind == "timeline":
+        return (_int_query(request, "width", 100),)
+    return ()
+
+
+class ResponseMemo:
+    """Least-recently-used finished 200 responses of done jobs, at most
+    :data:`MEMO_BYTES` of body in all.  Only the event loop touches it,
+    so it takes no lock."""
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Hashable, Response]" = OrderedDict()
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable) -> Optional[Response]:
+        response = self._entries.get(key)
+        if response is not None:
+            self._entries.move_to_end(key)
+        if obs.enabled():
+            outcome = "miss" if response is None else "hit"
+            obs.counter("service.memo", outcome=outcome).inc()
+        return response
+
+    def put(self, key: Hashable, response: Response) -> None:
+        size = len(response.body)
+        if response.status != 200 or size > MEMO_BYTES:
+            return
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.nbytes -= len(old.body)
+        while self._entries and self.nbytes + size > MEMO_BYTES:
+            _, evicted = self._entries.popitem(last=False)
+            self.nbytes -= len(evicted.body)
+        self._entries[key] = response
+        self.nbytes += size
+
+
 class ServiceApp:
     """Routing + handlers over one :class:`JobTable`."""
 
     def __init__(self, table: JobTable) -> None:
         self.table = table
         self.started_mono = time.monotonic()
+        self.memo = ResponseMemo()
 
     # ------------------------------------------------------------------
     # Entry point
@@ -244,7 +302,14 @@ class ServiceApp:
             )
         if job.state != JOB_DONE:
             raise HttpError(409, f"job is {job.state}; poll until done")
-        return Response.json({"job": job.describe(), "result": job.result})
+        key = (job.id, "result", ())
+        response = self.memo.get(key)
+        if response is None:
+            response = Response.json(
+                {"job": job.describe(), "result": job.result}
+            )
+            self.memo.put(key, response)
+        return response
 
     # ------------------------------------------------------------------
     # Renders
@@ -265,25 +330,32 @@ class ServiceApp:
                 "upload jobs retain no trace (streaming analysis is the "
                 "memory bound); only the 'analyze' render is available",
             )
-        # Store reads, NoiseAnalysis and report rendering are CPU/disk
-        # bound — run them off the loop so one big render can't stall
-        # every other connection's heartbeat.
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, self._render_job, job, kind, request
-        )
+        params = _render_params(kind, request)
+        key = (job.id, kind, params)
+        response = self.memo.get(key)
+        if response is None:
+            # Store reads, NoiseAnalysis and report rendering are CPU/disk
+            # bound — run them off the loop so one big render can't stall
+            # every other connection's heartbeat.
+            loop = asyncio.get_running_loop()
+            response = await loop.run_in_executor(
+                None, self._render_job, job, kind, params
+            )
+            self.memo.put(key, response)
+        return response
 
-    def _render_job(self, job: Job, kind: str, request: Request) -> Response:
+    def _render_job(self, job: Job, kind: str,
+                    params: Tuple[int, ...]) -> Response:
         loaded = self.table.load_run(job)
         if loaded is None:
             raise HttpError(
                 404, "the run's store entry was evicted; re-submit the spec"
             )
         trace, meta = loaded
-        return self._render_trace(job, kind, trace, meta, request)
+        return self._render_trace(job, kind, trace, meta, params)
 
     def _render_trace(self, job: Job, kind: str, trace: Any, meta: Any,
-                      request: Request) -> Response:
+                      params: Tuple[int, ...]) -> Response:
         from repro.core import NoiseAnalysis
 
         analysis = NoiseAnalysis(trace, meta=meta)
@@ -295,14 +367,12 @@ class ServiceApp:
             from repro.core import SyntheticNoiseChart
             from repro.core.report import render_chart
 
-            top = _int_query(request, "top", 20)
             chart = SyntheticNoiseChart(analysis)
-            return Response.text(render_chart(chart, top) + "\n")
+            return Response.text(render_chart(chart, *params) + "\n")
         if kind == "timeline":
             from repro.core.report import render_timeline
 
-            width = _int_query(request, "width", 100)
-            return Response.text(render_timeline(analysis, width) + "\n")
+            return Response.text(render_timeline(analysis, *params) + "\n")
         # kind == "chrome"
         from repro.io.chrometrace import analysis_trace_events
         from repro.obs.export import trace_event_json

@@ -41,7 +41,7 @@ from typing import BinaryIO, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.tracing.events import RECORD_DTYPE, RECORD_SIZE
-from repro.tracing.ringbuffer import SubBuffer
+from repro.tracing.ringbuffer import MAX_SUBBUF_BYTES, SubBuffer
 
 TRACE_MAGIC = 0x4C544E5A  # 'LTNZ'
 PACKET_MAGIC = 0x4C504B54  # 'LPKT'
@@ -199,9 +199,10 @@ def packet_header(buf: _Bytes, index: int) -> Tuple[int, ...]:
     n_records, lost_before, payload_bytes, begin_ts, end_ts)``.
 
     A raw payload holds exactly ``n_records`` records; a compressed one
-    is at most zlib's worst case (``compressBound``) for them.  So a
-    header cannot make a reader wait for, and buffer, more payload than
-    its record count allows."""
+    is at most zlib's worst case (``compressBound``) for them; and no
+    packet holds more records than the largest sub-buffer
+    (``MAX_SUBBUF_BYTES``).  So a header cannot make a reader wait for,
+    buffer or inflate more than one sub-buffer's worth of payload."""
     header = _PACKET_HEADER.unpack_from(buf)
     magic, cpu, flags, n_records, _, payload_bytes, _, _ = header
     if magic != PACKET_MAGIC:
@@ -209,7 +210,9 @@ def packet_header(buf: _Bytes, index: int) -> Tuple[int, ...]:
             f"bad packet magic: {magic:#x} (packet #{index})"
         )
     size = n_records * RECORD_SIZE
-    if flags & FLAG_COMPRESSED:
+    if size > MAX_SUBBUF_BYTES:
+        bad = True
+    elif flags & FLAG_COMPRESSED:
         size += (size >> 12) + (size >> 14) + (size >> 25) + 13
         bad = payload_bytes > size
     else:
@@ -226,18 +229,27 @@ def decode_packet(
 ) -> Packet:
     """Build the packet of a checked header and its complete stored
     payload: inflate a compressed payload (or copy a raw one), then check
-    its size against the record count."""
+    its size against the record count.  Inflation stops one byte past
+    the record count, so a payload cannot inflate beyond its claim."""
     _, cpu, flags, n_records, lost, _, begin_ts, end_ts = header
+    size = n_records * RECORD_SIZE
     if flags & FLAG_COMPRESSED:
+        inflater = zlib.decompressobj()
         try:
-            payload = zlib.decompress(payload)
+            payload = inflater.decompress(payload, size + 1)
         except zlib.error as exc:
             raise TraceFormatError(
                 f"corrupt compressed packet (packet #{index}): {exc}"
             )
+        if not inflater.eof and len(payload) <= size:
+            # zlib.decompress's own words for a stream that stops short.
+            raise TraceFormatError(
+                f"corrupt compressed packet (packet #{index}): Error -5 "
+                "while decompressing data: incomplete or truncated stream"
+            )
     else:
         payload = bytes(payload)
-    if len(payload) != n_records * RECORD_SIZE:
+    if len(payload) != size:
         raise TraceFormatError(
             f"packet payload size mismatch on cpu {cpu} (packet #{index})"
         )

@@ -23,6 +23,10 @@ from repro.tracing.events import RECORD_SIZE, RECORD_STRUCT
 
 _pack = RECORD_STRUCT.pack
 
+#: Largest sub-buffer, and so the largest packet payload a reader
+#: accepts: 256x the tracer's default sub-buffer.
+MAX_SUBBUF_BYTES = 64 << 20
+
 
 class Mode(Enum):
     """What to do when the buffer is full."""
@@ -56,6 +60,10 @@ class RingBuffer:
     ) -> None:
         if subbuf_size < RECORD_SIZE:
             raise ValueError("sub-buffer must hold at least one record")
+        if subbuf_size > MAX_SUBBUF_BYTES:
+            raise ValueError(
+                f"sub-buffer must be at most {MAX_SUBBUF_BYTES} bytes"
+            )
         if n_subbufs < 2:
             raise ValueError("need at least two sub-buffers")
         self.cpu = cpu

@@ -19,7 +19,7 @@ from repro.tracing.ctf import (
     packet_from_subbuffer,
 )
 from repro.tracing.events import RECORD_SIZE, RECORD_STRUCT
-from repro.tracing.ringbuffer import RingBuffer
+from repro.tracing.ringbuffer import MAX_SUBBUF_BYTES, RingBuffer
 
 
 def make_packet(cpu=0, records=((100, 1, 0, 0, 7, 0),)):
@@ -408,6 +408,78 @@ class TestPayloadBound:
                 decoder.feed(data[i:i + 1])
         assert i == _TRACE_HEADER.size + _PACKET_HEADER.size - 1
         assert len(decoder._tail) <= _PACKET_HEADER.size
+
+    @pytest.mark.parametrize("flags,payload_bytes", [
+        (1, 0xFFFFFFFF),
+        (0, (MAX_SUBBUF_BYTES // RECORD_SIZE + 1) * RECORD_SIZE),
+    ])
+    def test_record_count_above_one_subbuffer_raises(self, flags,
+                                                     payload_bytes):
+        """A header claiming more records than the largest sub-buffer
+        holds raises on the first 64 KiB feed, raw or compressed, and the
+        decoder holds at most the header."""
+        from repro.tracing.ctf import StreamDecoder
+
+        n_records = payload_bytes // RECORD_SIZE if flags == 0 else 0xFFFFFFFF
+        data = (
+            _TRACE_HEADER.pack(TRACE_MAGIC, 2, 1, 0, 100, 0)
+            + _PACKET_HEADER.pack(
+                PACKET_MAGIC, 0, flags, n_records, 0, payload_bytes, 0, 100)
+            + bytes(8 << 20)
+        )
+        decoder = StreamDecoder()
+        with pytest.raises(TraceFormatError) as exc:
+            decoder.feed(data[:64 * 1024])
+        assert str(exc.value) == (
+            "packet payload size mismatch on cpu 0 (packet #0)"
+        )
+        assert len(decoder._tail) <= _PACKET_HEADER.size
+
+    def test_zlib_bomb_inflates_no_further_than_its_claim(self):
+        """221 bytes of deflate that inflate to 200 KiB, behind a header
+        claiming 10 records: the size mismatch is found after inflating
+        at most one byte past the 240 bytes claimed."""
+        import tracemalloc
+        import zlib
+
+        bomb = zlib.compress(bytes(200 << 10), 9)
+        data = (
+            _TRACE_HEADER.pack(TRACE_MAGIC, 2, 1, 0, 100, 0)
+            + _PACKET_HEADER.pack(
+                PACKET_MAGIC, 0, 1, 10, 0, len(bomb), 0, 100)
+            + bomb
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(TraceFormatError) as exc:
+                Trace.from_bytes(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            "packet payload size mismatch on cpu 0 (packet #0)"
+        )
+        assert peak < 64 << 10
+
+    def test_truncated_deflate_is_corrupt(self):
+        """A deflate stream that stops short keeps zlib's own message."""
+        import zlib
+
+        payload = bytes(range(RECORD_SIZE)) * 4
+        packed = zlib.compress(payload)[:-6]
+        data = (
+            _TRACE_HEADER.pack(TRACE_MAGIC, 2, 1, 0, 100, 0)
+            + _PACKET_HEADER.pack(
+                PACKET_MAGIC, 0, 1, 4, 0, len(packed), 0, 100)
+            + packed
+        )
+        with pytest.raises(TraceFormatError) as exc:
+            Trace.from_bytes(data)
+        with pytest.raises(zlib.error) as raw:
+            zlib.decompress(packed)
+        assert str(exc.value) == (
+            f"corrupt compressed packet (packet #0): {raw.value}"
+        )
 
     def test_compressed_payload_up_to_zlib_worst_case(self):
         """Stored (level 0) deflate of incompressible records is larger

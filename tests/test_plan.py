@@ -160,6 +160,45 @@ class TestSweepPlan:
         assert set(states) == set(plan.tokens)
         assert set(states.values()) == {"done"}
 
+    @staticmethod
+    def _journal_lines(plan):
+        with open(plan.journal().path, encoding="utf-8") as fp:
+            return [json.loads(line) for line in fp]
+
+    def test_rerun_of_a_done_plan_adds_no_lines(self, tmp_path):
+        """The journal holds one line per state transition: a re-run of
+        a finished plan, served from the store, changes no state and
+        writes nothing."""
+        plan = SweepPlan([spec(s) for s in range(3)], shards=2,
+                         plan_dir=str(tmp_path))
+        plan.save()
+        store = ShardedStore(str(tmp_path / "store"))
+        plan.execute(SerialBackend(), store)
+        lines = self._journal_lines(plan)
+        assert len(lines) == 6  # running + done per spec
+        for _ in range(2):
+            results = plan.execute(SerialBackend(), store)
+            assert all(r.cached for r in results)
+            assert self._journal_lines(plan) == lines
+
+    def test_evicted_done_spec_gets_one_done_line(self, tmp_path):
+        """A done spec whose store entry was evicted is simulated again
+        and journaled once more, as not cached."""
+        plan = SweepPlan([spec(s) for s in range(3)], shards=1,
+                         plan_dir=str(tmp_path))
+        plan.save()
+        store = ShardedStore(str(tmp_path / "store"))
+        plan.execute(SerialBackend(), store)
+        before = self._journal_lines(plan)
+        evicted = plan.tokens[1]
+        store.evict_token(evicted)
+        plan.execute(SerialBackend(), store)
+        added = self._journal_lines(plan)[len(before):]
+        assert [(e["token"], e["state"], e["cached"]) for e in added] == [
+            (evicted, "done", False)
+        ]
+        assert plan.verify_journal() == []
+
     def test_failed_spec_journaled_and_raises(self, tmp_path):
         plan = SweepPlan([spec(0, workload="FTQ"),
                           spec(0, workload="NOSUCH")],

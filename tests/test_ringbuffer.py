@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tracing.events import RECORD_SIZE
-from repro.tracing.ringbuffer import Mode, RingBuffer
+from repro.tracing.ringbuffer import MAX_SUBBUF_BYTES, Mode, RingBuffer
 
 
 def write_n(rb, n, start_time=0):
@@ -43,6 +43,9 @@ class TestBasics:
             RingBuffer(0, subbuf_size=4)
         with pytest.raises(ValueError):
             RingBuffer(0, n_subbufs=1)
+        RingBuffer(0, subbuf_size=MAX_SUBBUF_BYTES)
+        with pytest.raises(ValueError):
+            RingBuffer(0, subbuf_size=MAX_SUBBUF_BYTES + 1)
 
 
 class TestDiscardMode:

@@ -8,9 +8,10 @@ server on a background thread and tests talk to it with the stdlib
 Covers: the submit → poll → result happy path; duplicate-spec dedup
 under concurrent clients; bit-identical parity between service renders
 and the batch CLI; streaming trace-upload parity with batch analysis;
-400/404/405/409/413 error paths; Prometheus ``/metrics`` exposition; and
-graceful drain (no queued or running jobs survive shutdown, including
-over a real SIGTERM against a ``lttng-noise serve`` subprocess).
+400/404/405/409/413 error paths; the memo of done jobs' responses;
+Prometheus ``/metrics`` exposition; and graceful drain (no queued or
+running jobs survive shutdown, including over a real SIGTERM against a
+``lttng-noise serve`` subprocess).
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ def spec(seed=0, **kw):
 class ServerHandle:
     """One service instance on a background thread, plus its innards."""
 
-    def __init__(self, port, table, server, stop, loop, thread):
+    def __init__(self, port, app, server, stop, loop, thread):
         self.port = port
-        self.table = table
+        self.app = app
+        self.table = app.table
         self.server = server
         self._stop = stop
         self._loop = loop
@@ -77,7 +79,7 @@ def start_server(store_root, max_concurrency=4, max_body_bytes=None,
         app = ServiceApp(table)
         server = HttpServer(app.handle, port=0, **kwargs)
         await server.start()
-        box.update(port=server.port, table=table, server=server,
+        box.update(port=server.port, app=app, server=server,
                    stop=stop, loop=loop)
         ready.set()
         await stop.wait()
@@ -89,7 +91,7 @@ def start_server(store_root, max_concurrency=4, max_body_bytes=None,
                               daemon=True)
     thread.start()
     assert ready.wait(timeout=30), "server did not start"
-    return ServerHandle(box["port"], box["table"], box["server"],
+    return ServerHandle(box["port"], box["app"], box["server"],
                         box["stop"], box["loop"], thread)
 
 
@@ -478,6 +480,153 @@ class TestErrorPaths:
 # ----------------------------------------------------------------------
 # Metrics
 # ----------------------------------------------------------------------
+
+def _get(server, path):
+    """``(status, body bytes)`` of one GET, over a fresh connection."""
+    import http.client
+
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def _memo_counts():
+    return {
+        c["labels"]["outcome"]: c["value"]
+        for c in obs.snapshot()["counters"] if c["name"] == "service.memo"
+    }
+
+
+def _done_job(server, s):
+    with server.client() as client:
+        job = client.submit(s)["job"]
+        client.wait(job["id"])
+    return job["id"]
+
+
+class TestResponseMemo:
+    def test_repeats_serve_the_first_bytes_without_store_reads(
+            self, server, tmp_path, capsys):
+        """A repeated result or render answers with the first response's
+        bytes (which are the CLI's) and reads nothing from the store."""
+        from repro.cli import main
+
+        base = str(tmp_path / "ftq")
+        assert main(["record", "FTQ", "--duration", "50ms", "--seed", "3",
+                     "--ncpus", "2", "-o", base]) == 0
+        cli = {}
+        for path, argv in (
+            ("render/report", ["report", base + ".lttnz"]),
+            ("render/chart?top=5", ["chart", base + ".lttnz", "--top", "5"]),
+            ("render/timeline?width=40",
+             ["timeline", base + ".lttnz", "--width", "40"]),
+        ):
+            capsys.readouterr()
+            assert main(argv) == 0
+            cli[path] = capsys.readouterr().out.encode()
+        job_id = _done_job(server, spec(seed=3))
+        paths = ["result"] + list(cli)
+        first = {}
+        for path in paths:
+            status, first[path] = _get(server, f"/v1/jobs/{job_id}/{path}")
+            assert status == 200
+        for path, body in cli.items():
+            assert first[path] == body
+        hits, counts = server.table.store.hits, _memo_counts()
+        for path in paths:
+            assert _get(server, f"/v1/jobs/{job_id}/{path}") == (
+                200, first[path])
+        assert server.table.store.hits == hits
+        after = _memo_counts()
+        assert after["hit"] - counts.get("hit", 0) == len(paths)
+        assert after["miss"] == counts["miss"]
+
+    def test_each_query_is_its_own_entry(self, server):
+        job_id = _done_job(server, RunSpec.make("FTQ", 200 * MSEC, 3, 2))
+        chart = f"/v1/jobs/{job_id}/render/chart"
+        _, top5 = _get(server, chart + "?top=5")
+        _, top25 = _get(server, chart + "?top=25")
+        assert top5.count(b"t=") == 5 and top25.count(b"t=") == 25
+        assert len(server.app.memo) == 2
+        hits = server.table.store.hits
+        assert _get(server, chart + "?top=25") == (200, top25)
+        assert _get(server, chart + "?top=5") == (200, top5)
+        assert server.table.store.hits == hits
+
+    def test_invalid_query_is_still_400(self, server):
+        job_id = _done_job(server, spec())
+        chart = f"/v1/jobs/{job_id}/render/chart"
+        status, body = _get(server, chart + "?top=0")
+        assert status == 400 and b"must be >= 1" in body
+        _, top20 = _get(server, chart + "?top=20")
+        hits = server.table.store.hits
+        assert _get(server, chart + "?top=20") == (200, top20)
+        assert _get(server, chart) == (200, top20)
+        assert _get(server, chart + "?top=0")[0] == 400
+        assert server.table.store.hits == hits
+        assert len(server.app.memo) == 1
+
+    def test_not_done_answers_are_not_kept(self, server):
+        """A 409 is never memoized: once the job is done, the same GET
+        returns its 200 body."""
+        from repro.service.jobs import Job
+
+        job = Job(id="not-done-yet", kind="spec", spec=spec(seed=9))
+        server.table.jobs[job.id] = job
+        assert _get(server, f"/v1/jobs/{job.id}/result")[0] == 409
+        assert _get(server, f"/v1/jobs/{job.id}/render/report")[0] == 409
+        assert len(server.app.memo) == 0
+        job.result = {"span_ns": 1}
+        job.state = "done"
+        status, body = _get(server, f"/v1/jobs/{job.id}/result")
+        assert status == 200
+        assert json.loads(body)["result"] == {"span_ns": 1}
+
+    def test_memoized_render_outlives_the_store_entry(self, server):
+        job_id = _done_job(server, spec())
+        status, report = _get(server, f"/v1/jobs/{job_id}/render/report")
+        assert status == 200
+        server.table.store.evict_token(job_id)
+        assert _get(server, f"/v1/jobs/{job_id}/render/report") == (
+            200, report)
+        assert _get(server, f"/v1/jobs/{job_id}/render/chrome")[0] == 404
+
+    def test_least_recently_used_goes_first(self, monkeypatch):
+        from repro.service import handlers
+        from repro.service.http import Response
+
+        monkeypatch.setattr(handlers, "MEMO_BYTES", 100)
+        memo = handlers.ResponseMemo()
+        for key in "abc":
+            memo.put(key, Response(200, key.encode() * 40))
+        assert memo.get("a") is None and memo.nbytes == 80
+        assert memo.get("b") is not None  # c is now the oldest
+        memo.put("d", Response(200, b"d" * 40))
+        assert memo.get("c") is None
+        assert [memo.get(k).body[:1] for k in "bd"] == [b"b", b"d"]
+        memo.put("e", Response(200, b"e" * 101))  # over budget: not kept
+        assert memo.get("e") is None and len(memo) == 2
+        memo.put("f", Response(404, b"f"))
+        assert memo.get("f") is None
+
+    def test_oversized_body_is_served_but_not_kept(self, server,
+                                                   monkeypatch):
+        from repro.service import handlers
+
+        monkeypatch.setattr(handlers, "MEMO_BYTES", 4096)
+        job_id = _done_job(server, spec())
+        path = f"/v1/jobs/{job_id}/render/chrome"
+        status, body = _get(server, path)
+        assert status == 200 and len(body) > 4096
+        hits = server.table.store.hits
+        assert _get(server, path) == (200, body)
+        assert server.table.store.hits == hits + 1
+        assert len(server.app.memo) == 0
+
 
 class TestMetrics:
     def test_metrics_expose_service_series_and_parse(self, server):
