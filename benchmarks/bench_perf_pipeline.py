@@ -152,7 +152,7 @@ def test_perf_match_and_fold(benchmark, amg_trace):
     """The two analysis kernels that sort nothing they need not, on the
     1 s AMG trace: ENTRY/EXIT matching of the batch engine's one block
     (``_match_frames_vectorized``, per frame depth) and the streaming
-    moments fold of its finished table (``_fold_moments``, exact sums of
+    moments fold of its finished table (``fold_moments``, exact sums of
     squares in numpy).
 
     One round runs each kernel once, so they take turns on the host.
@@ -165,7 +165,7 @@ def test_perf_match_and_fold(benchmark, amg_trace):
     from repro.core.nesting import (
         ActivityStackWalker, _match_frames_vectorized, _match_frames_walk,
     )
-    from repro.stream.window import _fold_moments
+    from repro.core.analysis import fold_moments
     from repro.tracing.events import FIRST_POINT_EVENT
 
     trace, meta = amg_trace
@@ -191,7 +191,7 @@ def test_perf_match_and_fold(benchmark, amg_trace):
             _match_frames_vectorized(tokens, walker, meta), walker)
         t1 = time.perf_counter_ns()
         out["fold"] = ({}, {})
-        _fold_moments(*out["fold"], *fold_args)
+        fold_moments(*out["fold"], *fold_args)
         t2 = time.perf_counter_ns()
         round_ns["matcher"].append(t1 - t0)
         round_ns["fold"].append(t2 - t1)
@@ -237,36 +237,72 @@ def test_perf_stream_timeline(benchmark, amg_trace):
             == batch.noise_timeline(MSEC).tobytes())
 
 
-def test_perf_queries(benchmark, amg_trace):
+class _OracleStats:
+    """An analysis whose per-event stats come from the frozen oracle
+    (``tests/reference.py``); every other query is the analysis's own."""
+
+    def __init__(self, analysis, oracle):
+        self._analysis = analysis
+        self._oracle = oracle
+
+    def __getattr__(self, name):
+        return getattr(self._analysis, name)
+
+    def stats_by_event(self, noise_only=True):
+        return self._oracle.stats_by_event(noise_only=noise_only)
+
+
+def test_perf_queries(benchmark, amg_trace, monkeypatch):
     """The two renders every analyzed trace gets — the ``analyze``
     summary and the full report — on a constructed analysis.
 
     Construction stays outside the timed region; each round queries a
-    fresh analysis, so the per-analysis memo of ``stats_by_event`` is
-    paid for once per round, as in ``lttng-noise analyze``/``report``.
-    ``extra_info`` carries records and ns/record (min and median)."""
+    fresh analysis, so the per-event moments fold is paid for once per
+    round, as in ``lttng-noise analyze``/``report``.  ``extra_info``
+    carries records and query ns/record, and, apart, the first
+    ``stats_by_event`` call (the fold plus one table) in ns per table
+    row (min, median, p95).  Both texts must equal a freshly built
+    reference: the same renders with the per-event stats of
+    ``ReferenceAnalysis`` and the task summary of ``ReferenceTimeline``."""
+    import repro.core.timeline
+    from reference import ReferenceTimeline
     from repro.core.report import full_report, render_analysis_summary
 
     trace, meta = amg_trace
     records = sum(p.n_records for p in trace.packets)
-    round_ns = []
+    round_ns = {"stats": [], "queries": []}
+    texts = []
 
     def setup():
         return (NoiseAnalysis(trace, meta=meta),), {}
 
     def query(analysis):
         t0 = time.perf_counter_ns()
-        render_analysis_summary(analysis)
-        full_report(analysis, meta=meta)
-        round_ns.append(time.perf_counter_ns() - t0)
+        analysis.stats_by_event(noise_only=True)
+        t1 = time.perf_counter_ns()
+        summary = render_analysis_summary(analysis)
+        report = full_report(analysis, meta=meta)
+        t2 = time.perf_counter_ns()
+        round_ns["stats"].append(t1 - t0)
+        round_ns["queries"].append(t2 - t0)
+        texts.append((summary, report, len(analysis.table)))
 
-    benchmark.pedantic(query, setup=setup, rounds=5, iterations=1)
-    per_record = sorted(ns / records for ns in round_ns)
+    benchmark.pedantic(query, setup=setup, rounds=15, iterations=1)
+    summary, report, rows = texts[-1]
     benchmark.extra_info.update(
-        records=records,
-        ns_per_record_min=round(per_record[0], 1),
-        ns_per_record_median=round(per_record[len(per_record) // 2], 1),
+        records=records, rows=rows,
+        **_ns_per_record(round_ns["queries"], records),
+        **_ns_per_record(round_ns["stats"], rows, "stats.", "row"),
     )
+
+    assert all(text == texts[0] for text in texts)
+    oracle = _OracleStats(
+        NoiseAnalysis(trace, meta=meta), ReferenceAnalysis(trace, meta=meta)
+    )
+    assert render_analysis_summary(oracle) == summary
+    monkeypatch.setattr(repro.core.timeline, "TaskTimeline",
+                        ReferenceTimeline)
+    assert full_report(oracle, meta=meta) == report
 
 
 def _analyze_phase(analysis_cls, trace, meta):

@@ -22,20 +22,24 @@ Noise totals (``total_noise_ns``, ``breakdown_ns``, ``noise_fraction``,
 so they agree on the CPU universe: activities referencing ``cpu >= ncpus``
 are excluded everywhere (with a ``RuntimeWarning`` at construction), and
 the noise fraction's numerator sums exactly the CPUs its
-``span_ns * ncpus`` denominator covers.  Streaming analysis folds the same
-:class:`NoiseTotals` block by block.
+``span_ns * ncpus`` denominator covers.  Per-event statistics
+(``stats``, ``stats_by_event``) are all read from one
+:class:`EventMoments` fold of exact integer moments.  Streaming analysis
+folds the same :class:`NoiseTotals` and :class:`EventMoments` block by
+block, and :class:`DerivedQueries` answers every one of these queries
+for both facades.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import cached_property
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.core.engine import StreamEngine, canonical_order
+from repro.core.engine import StreamEngine, canonical_order, is_window
 from repro.core.model import (
     Activity,
     ActivityTable,
@@ -45,12 +49,13 @@ from repro.core.model import (
     NoiseCategory,
     PREEMPT_EVENT,
     TraceMeta,
+    activity_name,
     concat_rows,
     take_rows,
 )
 from repro.tracing.ctf import Trace
 from repro.tracing.events import Ev, NAME_TO_EVENT, RECORD_DTYPE
-from repro.util.stats import DurationStats, describe_durations
+from repro.util.stats import DurationStats, square_sums, stats_from_moments
 
 #: Name accepted for the scheduler-derived pseudo event.
 PREEMPT_NAME = "preemption"
@@ -142,11 +147,155 @@ class NoiseTotals:
             self.seen.reshape(-1)[key] = True
 
 
+class Moments:
+    """Exact integer moments of one duration population: count, sum,
+    minimum, maximum and sum of squares, as Python ints."""
+
+    __slots__ = ("count", "total", "mn", "mx", "sq")
+
+    def __init__(self) -> None:
+        self.count = self.total = self.mn = self.mx = self.sq = 0
+
+    def merge(self, other: "Moments") -> None:
+        self.fold(other.count, other.total, other.mn, other.mx, other.sq)
+
+    def fold(self, count: int, total: int, mn: int, mx: int, sq: int) -> None:
+        """Add a population of ``count`` values with the given sum,
+        minimum, maximum and sum of squares."""
+        if count == 0:
+            return
+        if self.count == 0 or mn < self.mn:
+            self.mn = mn
+        if self.count == 0 or mx > self.mx:
+            self.mx = mx
+        self.count += count
+        self.total += total
+        self.sq += sq
+
+    def describe(self, span_ns: int, cpus: int) -> DurationStats:
+        """The table row of this population
+        (:func:`~repro.util.stats.stats_from_moments`)."""
+        return stats_from_moments(
+            self.count, self.total, self.mn, self.mx, self.sq, span_ns, cpus
+        )
+
+
+def fold_moments(
+    all_moments: Dict[Tuple[int, int], Moments],
+    noise_moments: Dict[Tuple[int, int], Moments],
+    events: np.ndarray,
+    pids: np.ndarray,
+    noise: np.ndarray,
+    values: np.ndarray,
+) -> None:
+    """Fold int64 ``values`` into the moments keyed by ``(event, pid)`` —
+    every value into ``all_moments``, noise values also into
+    ``noise_moments``; keys new to a table enter it in ``(event, pid)``
+    order, pid -1 first.
+
+    Rows group on one integer key, ``2 * event + noise`` (event ids are
+    non-negative) plus, for a pid other than -1, its dense rank times a
+    stride past every such value, sorted in the narrowest unsigned dtype
+    that holds it (a radix sort up to 16 bits).  ``reduceat`` takes each
+    group's moments; integer sums do not depend on the order within a
+    group.
+    """
+    if not len(values):
+        return
+    key = events.astype(np.int64)
+    key <<= 1
+    key += noise
+    has_pid = pids != -1
+    if has_pid.any():
+        rank = np.unique(pids[has_pid], return_inverse=True)[1]
+        key[has_pid] += (rank + 1) * (int(key.max()) + 1)
+    top = int(key.max())
+    order = key.astype(np.min_scalar_type(top)).argsort(kind="stable")
+    key = key[order]
+    values = values[order]
+    new = np.empty(len(key), dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    heads = np.flatnonzero(new)
+    first = order[heads]
+    counts = np.diff(heads, append=len(values)).tolist()
+    totals = np.add.reduceat(values, heads).tolist()
+    mins = np.minimum.reduceat(values, heads).tolist()
+    maxs = np.maximum.reduceat(values, heads).tolist()
+    sqs = square_sums(values, heads, min(mins), max(maxs))
+    for key_pair, is_noise, moments in sorted(zip(
+        zip(events[first].tolist(), pids[first].tolist()),
+        noise[first].tolist(),
+        zip(counts, totals, mins, maxs, sqs),
+    )):
+        tables = (all_moments, noise_moments) if is_noise else (all_moments,)
+        for table in tables:
+            acc = table.get(key_pair)
+            if acc is None:
+                acc = table[key_pair] = Moments()
+            acc.fold(*moments)
+
+
+class EventMoments:
+    """Exact duration moments per ``(event, pid)`` key, the one fold
+    behind every per-event statistic.
+
+    ``pid`` is the displacing task for a preemption window and -1 for a
+    kernel activity.  ``_all`` holds every activity that was not
+    truncated, ``_noise`` the noise activities among them.  Batch
+    analysis folds its finished table once; the streaming
+    :class:`~repro.stream.window.WindowMerger` folds each block, and the
+    integer moments do not depend on how the rows were split.
+    """
+
+    def __init__(self, meta: TraceMeta) -> None:
+        self.meta = meta
+        self._all: Dict[Tuple[int, int], Moments] = {}
+        self._noise: Dict[Tuple[int, int], Moments] = {}
+
+    def fold_rows(self, rows: np.ndarray) -> None:
+        """Fold activity rows (``ACTIVITY_DTYPE``) into the moments."""
+        kept = ~rows["truncated"]
+        if not kept.any():
+            return
+        events = rows["event"][kept]
+        fold_moments(
+            self._all, self._noise, events,
+            np.where(is_window(events), rows["pid"][kept], -1),
+            rows["is_noise"][kept], rows["self_ns"][kept],
+        )
+
+    def moments_for_event(
+        self, event: Optional[int], noise_only: bool
+    ) -> Moments:
+        table = self._noise if noise_only else self._all
+        merged = Moments()
+        for (ev, _), acc in table.items():
+            if ev == event:
+                merged.merge(acc)
+        return merged
+
+    def moments_by_name(self, noise_only: bool) -> Dict[str, Moments]:
+        """Population moments grouped by display name, sorted by name
+        (both preemption pseudo-events of one daemon, and daemons called
+        alike, share one name)."""
+        table = self._noise if noise_only else self._all
+        out: Dict[str, Moments] = {}
+        for (ev, pid), acc in table.items():
+            name = activity_name(ev, pid, self.meta)
+            merged = out.get(name)
+            if merged is None:
+                out[name] = merged = Moments()
+            merged.merge(acc)
+        return {name: out[name] for name in sorted(out)}
+
+
 class DerivedQueries:
     """The queries both analysis facades answer from their
-    :class:`NoiseTotals` (the ``_noise_totals()`` hook), ``span_ns`` and
+    :class:`NoiseTotals` (the ``_noise_totals()`` hook), their
+    :class:`EventMoments` (the ``_moments()`` hook), ``span_ns`` and
     ``ncpus`` — shared by :class:`NoiseAnalysis` and
-    :class:`~repro.stream.analysis.StreamingAnalysis`.  Each reads the
+    :class:`~repro.stream.analysis.StreamingAnalysis`.  Each reads a
     hook first, so an unfinished stream raises before any arithmetic.
 
     Keys come out in one order on both sides: the breakdown categories
@@ -159,6 +308,37 @@ class DerivedQueries:
     def _noise_totals(self) -> NoiseTotals:
         """The facade's folded totals (a stream raises until finished)."""
         raise NotImplementedError
+
+    def _moments(self) -> EventMoments:
+        """The facade's per-event moments (a stream raises until
+        finished)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Tables (paper Tables I-VI shape)
+    # ------------------------------------------------------------------
+    def stats(
+        self, event: Union[int, str], noise_only: bool = False
+    ) -> DurationStats:
+        """One ``(freq, avg, max, min)`` row of one activity type
+        (truncated activities excluded); freq is per CPU-second."""
+        moments = self._moments()
+        return moments.moments_for_event(
+            _resolve_event(event), noise_only
+        ).describe(self.span_ns, self.ncpus)
+
+    def stats_by_event(
+        self, noise_only: bool = True
+    ) -> Dict[str, DurationStats]:
+        """Stats for every activity type present in the trace (truncated
+        activities excluded), keyed by display name in sorted order; a
+        fresh dict on every call."""
+        return {
+            name: moments.describe(self.span_ns, self.ncpus)
+            for name, moments in self._moments().moments_by_name(
+                noise_only
+            ).items()
+        }
 
     def breakdown_ns(self) -> Dict[NoiseCategory, int]:
         """Total noise self-time per category (truncated included)."""
@@ -296,10 +476,17 @@ class NoiseAnalysis(DerivedQueries):
         self._totals.add(self.table.data)
         self._warn_out_of_range()
         self._activities: Optional[List[Activity]] = None
-        self._stats_by_event: Dict[bool, Dict[str, DurationStats]] = {}
+        self._event_moments: Optional[EventMoments] = None
 
     def _noise_totals(self) -> NoiseTotals:
         return self._totals
+
+    def _moments(self) -> EventMoments:
+        """The table's per-event moments, folded on first use."""
+        if self._event_moments is None:
+            self._event_moments = EventMoments(self.meta)
+            self._event_moments.fold_rows(self.table.data)
+        return self._event_moments
 
     @cached_property
     def records(self) -> np.ndarray:
@@ -365,49 +552,6 @@ class NoiseAnalysis(DerivedQueries):
             include_truncated=False,
         )
         return self.table.data["self_ns"][m].astype(np.int64)
-
-    # ------------------------------------------------------------------
-    # Tables (paper Tables I-VI shape)
-    # ------------------------------------------------------------------
-    def stats(
-        self,
-        event: Union[int, str],
-        noise_only: bool = False,
-    ) -> DurationStats:
-        """One ``(freq, avg, max, min)`` row; freq is per CPU-second."""
-        durations = self.durations(event, noise_only=noise_only)
-        return describe_durations(durations, self.span_ns, cpus=self.ncpus)
-
-    def stats_by_event(self, noise_only: bool = True) -> Dict[str, DurationStats]:
-        """Stats for every activity type present in the trace, keyed by
-        display name in sorted order.
-
-        Computed once per ``noise_only`` value (the analysis does not
-        change after construction); each call returns a fresh dict.
-        """
-        key = bool(noise_only)
-        stats = self._stats_by_event.get(key)
-        if stats is None:
-            stats = self._stats_by_event[key] = self._group_stats(key)
-        return dict(stats)
-
-    def _group_stats(self, noise_only: bool) -> Dict[str, DurationStats]:
-        d = self.table.data
-        m = ~d["truncated"]
-        if noise_only:
-            m &= d["is_noise"]
-        names, label = self.table.name_groups(m)
-        if not names:
-            return {}
-        # Stable: each group keeps table row order, which the float mean
-        # and std of describe_durations depend on.
-        order = np.argsort(label, kind="stable")
-        counts = np.bincount(label, minlength=len(names))
-        chunks = np.split(d["self_ns"][m][order], np.cumsum(counts)[:-1])
-        return {
-            name: describe_durations(values, self.span_ns, cpus=self.ncpus)
-            for name, values in zip(names, chunks)
-        }
 
     # ------------------------------------------------------------------
     # Timelines (synthetic chart inputs, FTQ comparison)

@@ -314,42 +314,31 @@ class ActivityTable:
 
         Paired kernel activities map through :func:`event_name`;
         preemption pseudo-activities render as ``preempt:<daemon name>``
-        using the attached :class:`TraceMeta`.
+        using the attached :class:`TraceMeta`.  Rows are grouped on one
+        int64 key — the event id, plus the pid for preemption
+        pseudo-events — so a name is resolved once per distinct key,
+        never per row.
         """
         if self._names is None:
-            names, label = self.name_groups()
-            self._names = np.array(names, dtype=object)[label]
+            events = self.data["event"]
+            pids = self.data["pid"]
+            keys = events.astype(np.int64) << 32
+            preempt = (
+                (events == PREEMPT_EVENT) | (events == TRACER_PREEMPT_EVENT)
+            )
+            keys[preempt] |= pids[preempt].astype(np.int64) & 0xFFFFFFFF
+            _, first, inv = np.unique(
+                keys, return_index=True, return_inverse=True
+            )
+            meta = self.meta if self.meta is not None else TraceMeta()
+            names = [
+                activity_name(event, pid, meta)
+                for event, pid in zip(
+                    events[first].tolist(), pids[first].tolist()
+                )
+            ]
+            self._names = np.array(names, dtype=object)[inv]
         return self._names
-
-    def name_groups(
-        self, mask: Optional[np.ndarray] = None
-    ) -> Tuple[List[str], np.ndarray]:
-        """The distinct display names of (the masked) rows, sorted, and
-        each row's index into that list.
-
-        Rows are grouped on one int64 key — the event id, plus the pid for
-        preemption pseudo-events — so a name is resolved once per distinct
-        key, never per row.  Keys that resolve to the same name (two
-        daemons called alike) share one index.
-        """
-        events = self.data["event"]
-        pids = self.data["pid"]
-        if mask is not None:
-            events = events[mask]
-            pids = pids[mask]
-        keys = events.astype(np.int64) << 32
-        preempt = (events == PREEMPT_EVENT) | (events == TRACER_PREEMPT_EVENT)
-        keys[preempt] |= pids[preempt].astype(np.int64) & 0xFFFFFFFF
-        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-        meta = self.meta if self.meta is not None else TraceMeta()
-        names = [
-            activity_name(event, pid, meta)
-            for event, pid in zip(events[first].tolist(), pids[first].tolist())
-        ]
-        distinct = sorted(set(names))
-        index = {name: i for i, name in enumerate(distinct)}
-        remap = np.array([index[name] for name in names], dtype=np.intp)
-        return distinct, remap[inv]
 
     def rows(self, mask: Optional[np.ndarray] = None) -> List[Activity]:
         """Materialize (a masked subset of) the table as Activity objects."""

@@ -172,25 +172,42 @@ class TaskTimeline:
     def summary(self) -> Dict[int, Dict[str, float]]:
         """Per-application-task digest used by reports.
 
-        Occupancy fractions are floats; episode counts and nanosecond
+        Occupancy fractions are floats, bit-equal to :meth:`occupancy`'s:
+        one ``np.add.at`` over every application task's intervals, task by
+        task in interval order, feeds each ``(task, state)`` accumulator
+        the same sequential additions.  Episode counts and nanosecond
         sums stay int64-exact (NSX rules) — ``mean_wait_ns`` is the floor
         of the exact integer quotient, never a lossy float mean.
         """
+        pids = [pid for pid in self._rows if self.meta.is_application(pid)]
+        if not pids:
+            return {}
+        bounds = [self._rows[pid] for pid in pids]
+        rows = np.concatenate([np.arange(lo, hi) for lo, hi in bounds])
+        counts = np.array([hi - lo for lo, hi in bounds])
+        heads = np.cumsum(counts) - counts
+        task = np.repeat(np.arange(len(pids)), counts)
+        durations = self._end[rows] - self._start[rows]
+        states = self._state[rows]
+        totals = np.add.reduceat(durations, heads)
+        occupancy = np.zeros((len(pids), max(TaskState) + 1))
+        np.add.at(
+            occupancy.reshape(-1), task * occupancy.shape[1] + states,
+            durations / totals[task],
+        )
+        waiting = states == int(TaskState.RUNNABLE)
+        episodes = np.add.reduceat(waiting.astype(np.int64), heads).tolist()
+        waited = np.add.reduceat(np.where(waiting, durations, 0), heads)
         out: Dict[int, Dict[str, float]] = {}
-        for pid in self.pids():
-            if not self.meta.is_application(pid):
-                continue
-            occ = self.occupancy(pid)
-            waits = self.wait_times(pid)
-            total_wait = int(waits.sum())
+        for pid, occ, n, total_wait in zip(
+            pids, occupancy.tolist(), episodes, waited.tolist()
+        ):
             out[pid] = {
-                "running": occ.get(TaskState.RUNNING, 0.0),
-                "runnable": occ.get(TaskState.RUNNABLE, 0.0),
-                "blocked": occ.get(TaskState.BLOCKED, 0.0),
-                "wait_episodes": int(waits.size),
+                "running": occ[TaskState.RUNNING],
+                "runnable": occ[TaskState.RUNNABLE],
+                "blocked": occ[TaskState.BLOCKED],
+                "wait_episodes": n,
                 "total_wait_ns": total_wait,
-                "mean_wait_ns": total_wait // int(waits.size)
-                if waits.size
-                else 0,
+                "mean_wait_ns": total_wait // n if n else 0,
             }
         return out

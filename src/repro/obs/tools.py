@@ -55,15 +55,16 @@ def read_plan_progress(plan_dir: str) -> Dict[str, Any]:
     total = len(plan.get("specs", []))
     journal = Journal(os.path.join(plan_dir, JOURNAL_FILENAME))
     states: Dict[str, str] = {}
-    cached = 0
+    # A resumed campaign journals every done spec it reuses again, so
+    # only each spec's last ``done`` line says whether it was cached.
+    cached: Dict[str, bool] = {}
     elapsed_s = 0.0
     for _, entry in journal._lines():
         token = str(entry["token"])
         state = str(entry.get("state", ""))
         states[token] = state
         if state == "done":
-            if entry.get("cached"):
-                cached += 1
+            cached[token] = bool(entry.get("cached"))
             elapsed_s += float(entry.get("elapsed_s", 0.0))
     done = sum(1 for s in states.values() if s == "done")
     return {
@@ -71,7 +72,10 @@ def read_plan_progress(plan_dir: str) -> Dict[str, Any]:
         "done": done,
         "failed": sum(1 for s in states.values() if s == "failed"),
         "running": sum(1 for s in states.values() if s == "running"),
-        "cached": cached,
+        "cached": sum(
+            1 for token, hit in cached.items()
+            if hit and states[token] == "done"
+        ),
         "busy_s": elapsed_s,
         "shards": int(plan.get("shards", 1)),
         "version": str(plan.get("version", "?")),

@@ -17,15 +17,16 @@ same answers incrementally, packet by packet:
   classification) on each, carrying only open state across block
   boundaries and emitting every activity row once it is final;
 * :class:`WindowMerger` — folds the row blocks into exact integer
-  aggregates, per-quantum timeline bins, and per-window
-  :class:`ActivityTable` chunks.  A bin is sealed once no in-flight
-  activity can still touch it, by the batch timeline kernel over the held
-  noise rows in canonical order;
+  aggregates (the per-event moments and noise totals batch analysis folds
+  once, through the same kernels), per-quantum timeline bins, and
+  per-window :class:`ActivityTable` chunks.  A bin is sealed once no
+  in-flight activity can still touch it, by the batch timeline kernel
+  over the held noise rows in canonical order;
 * :class:`StreamingAnalysis` — the facade mirroring ``NoiseAnalysis``'s
   query surface (stats, breakdown, noise fraction, timelines) with results
-  bit-identical to batch analysis of the same trace (``std`` excepted: it
-  is computed from exact integer moments rather than ``np.std``'s pairwise
-  float summation, so it matches to float precision, not bit layout).
+  bit-identical to batch analysis of the same trace, per-event ``std``
+  included: both facades derive every table row from the same exact
+  integer moments.
 
 See ``docs/streaming.md`` for the window/watermark design and the exact
 bit-identity argument.

@@ -6,8 +6,7 @@ reader, or packet objects straight from the tracer), process
 (:class:`~repro.core.engine.StreamEngine`), merge
 (:class:`~repro.stream.window.WindowMerger`) — behind the same query
 surface the batch :class:`~repro.core.analysis.NoiseAnalysis` offers.
-Every shared query returns bit-identical results on the same trace
-(``std`` matches to float precision; see :mod:`repro.stream`).
+Every shared query returns bit-identical results on the same trace.
 
 Progress is driven by a per-CPU watermark: each packet raises its CPU's
 watermark to the packet ``end_ts`` (ring-buffer chronology guarantees no
@@ -25,15 +24,15 @@ an on-disk CPU-major file through
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core.analysis import (
     DerivedQueries,
+    EventMoments,
     NoiseTotals,
-    _resolve_event,
     marker_rows,
 )
 from repro.core.engine import StreamEngine
@@ -41,7 +40,6 @@ from repro.core.model import ActivityTable, TraceMeta
 from repro.stream.decoder import StreamDecoder, iter_packets_chronological
 from repro.stream.window import WindowMerger
 from repro.tracing.ctf import _TRACE_HEADER, Packet, Trace, trace_header
-from repro.util.stats import DurationStats
 
 try:
     import resource as _resource
@@ -262,8 +260,9 @@ class StreamingAnalysis(DerivedQueries):
 
     # ------------------------------------------------------------------
     # Query surface (mirrors NoiseAnalysis; results are bit-identical).
-    # The noise totals and the queries built on them come from
-    # DerivedQueries, reading the merger's NoiseTotals.
+    # The noise totals, the per-event stats and the queries built on them
+    # come from DerivedQueries, reading the merger's NoiseTotals and
+    # EventMoments.
     # ------------------------------------------------------------------
     def _require_finished(self) -> None:
         if not self._finished:
@@ -273,27 +272,9 @@ class StreamingAnalysis(DerivedQueries):
         self._require_finished()
         return self._merger.totals
 
-    def stats(
-        self, event: Union[int, str], noise_only: bool = False
-    ) -> DurationStats:
-        """One ``(freq, avg, max, min)`` row; freq is per CPU-second."""
+    def _moments(self) -> EventMoments:
         self._require_finished()
-        resolved = _resolve_event(event)
-        return self._merger.moments_for_event(resolved, noise_only).describe(
-            self.span_ns, self.ncpus
-        )
-
-    def stats_by_event(
-        self, noise_only: bool = True
-    ) -> Dict[str, DurationStats]:
-        """Stats for every activity type present in the trace."""
-        self._require_finished()
-        return {
-            name: moments.describe(self.span_ns, self.ncpus)
-            for name, moments in self._merger.moments_by_name(
-                noise_only
-            ).items()
-        }
+        return self._merger
 
     def markers(self) -> np.ndarray:
         """Workload marker point events as ``(time, pid, arg)`` rows."""

@@ -6,13 +6,14 @@ which is not table order, each row with its tie-break number — and
 maintains every aggregate the batch analysis derives from the full table,
 exactly:
 
-* **duration stats** as integer moments ``(count, total, min, max,
-  sum-of-squares)`` per ``(event, pid)`` key and population (all /
-  noise-only, truncated rows excluded).  Count, total, min, max and the
-  derived mean are bit-identical to the batch numbers (integer sums are
-  exact under float64 pairwise summation while below 2**53); the standard
-  deviation comes from the exact moments instead of ``np.std``'s float
-  pipeline, so it matches to float precision, not bit layout;
+* **duration stats**: the merger is an
+  :class:`~repro.core.analysis.EventMoments`, the exact integer moments
+  ``(count, total, min, max, sum-of-squares)`` per ``(event, pid)`` key
+  and population (all / noise-only, truncated rows excluded) that batch
+  analysis folds once over its finished table, here folded once per
+  block through the same kernel.  Integer moments do not depend on how
+  the rows were split, so every field of every row, ``std`` included,
+  equals the batch row;
 * **noise totals**: one :class:`~repro.core.analysis.NoiseTotals`, the
   int64 ``(cpu, category)`` fold batch analysis runs once over its finished
   table, here run once per block (integer sums do not depend on fold
@@ -34,86 +35,22 @@ exactly:
 
 from __future__ import annotations
 
-import math
-from operator import mul
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.analysis import NoiseTotals, binned_noise_ns
-from repro.core.engine import canonical_order, is_window
+from repro.core.analysis import EventMoments, NoiseTotals, binned_noise_ns
+# The fold's differential tests import the kernel by this name.
+from repro.core.analysis import fold_moments as _fold_moments  # noqa: F401
+from repro.core.engine import canonical_order
 from repro.core.model import (
     ACTIVITY_DTYPE,
     ActivityTable,
     TraceMeta,
-    activity_name,
     concat_rows,
     take_rows,
 )
-from repro.util.stats import DurationStats
-from repro.util.units import SEC
-
-
-#: Values below this square exactly in uint64.
-_SQUARE_EXACT = 1 << 32
-_HALF_BITS = np.uint64(32)
-_LOW_HALF = np.uint64(0xFFFFFFFF)
-
-
-class Moments:
-    """Exact integer moments of one duration population."""
-
-    __slots__ = ("count", "total", "mn", "mx", "sq")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0
-        self.mn = 0
-        self.mx = 0
-        self.sq = 0  # sum of squares, arbitrary-precision int
-
-    def merge(self, other: "Moments") -> None:
-        self.fold(other.count, other.total, other.mn, other.mx, other.sq)
-
-    def fold(self, count: int, total: int, mn: int, mx: int, sq: int) -> None:
-        """Add a population of ``count`` values with the given sum,
-        minimum, maximum and sum of squares."""
-        if count == 0:
-            return
-        if self.count == 0 or mn < self.mn:
-            self.mn = mn
-        if self.count == 0 or mx > self.mx:
-            self.mx = mx
-        self.count += count
-        self.total += total
-        self.sq += sq
-
-    def describe(self, span_ns: int, cpus: int) -> DurationStats:
-        """The batch :func:`describe_durations` row from exact moments.
-
-        ``std`` uses the textbook identity on exact integers — the one
-        value that is *numerically equal* rather than bit-identical to the
-        batch ``np.std``.
-        """
-        if span_ns <= 0:
-            raise ValueError("span_ns must be positive")
-        if cpus <= 0:
-            raise ValueError("cpus must be positive")
-        if self.count == 0:
-            return DurationStats.empty()
-        disc = self.count * self.sq - self.total * self.total
-        if disc < 0:
-            disc = 0
-        return DurationStats(
-            count=self.count,
-            freq=self.count / (span_ns / SEC) / cpus,
-            avg=self.total / self.count,
-            max=self.mx,
-            min=self.mn,
-            std=math.sqrt(disc) / self.count,
-            total=self.total,
-        )
 
 
 class _HeldRows:
@@ -210,67 +147,10 @@ class _TimelineBinner:
         return np.concatenate(self._parts)[: self._n_bins()]
 
 
-def _fold_moments(
-    all_moments: Dict[Tuple[int, int], Moments],
-    noise_moments: Dict[Tuple[int, int], Moments],
-    events: np.ndarray,
-    pids: np.ndarray,
-    noise: np.ndarray,
-    values: np.ndarray,
-) -> None:
-    """Fold ``values`` into the moments keyed by ``(event, pid)`` — every
-    value into ``all_moments``, noise values also into ``noise_moments``
-    — one group at a time.
-
-    Sums of squares are exact.  A value in ``[0, 2**32)`` squares exactly
-    in uint64; each group sums the low and the high 32-bit halves of its
-    squares apart (neither sum can overflow below 2**32 rows), and Python
-    ints join the two.  A block holding any other value squares its
-    values in Python ints instead.
-    """
-    order = np.lexsort((noise, pids, events))
-    events = events[order]
-    pids = pids[order]
-    noise = noise[order]
-    values = values[order]
-    new = np.empty(len(values), dtype=bool)
-    new[0] = True
-    new[1:] = (
-        (events[1:] != events[:-1]) | (pids[1:] != pids[:-1])
-        | (noise[1:] != noise[:-1])
-    )
-    heads = np.flatnonzero(new)
-    ends = np.append(heads[1:], len(values))
-    totals = np.add.reduceat(values, heads).tolist()
-    mins = np.minimum.reduceat(values, heads).tolist()
-    maxs = np.maximum.reduceat(values, heads).tolist()
-    if min(mins) >= 0 and max(maxs) < _SQUARE_EXACT:
-        squares = values.astype(np.uint64)
-        squares *= squares
-        low = np.add.reduceat(squares & _LOW_HALF, heads).tolist()
-        high = np.add.reduceat(squares >> _HALF_BITS, heads).tolist()
-        sqs = [(hi << 32) + lo for hi, lo in zip(high, low)]
-    else:
-        flat = values.tolist()
-        parts = (flat[a:b] for a, b in zip(heads.tolist(), ends.tolist()))
-        sqs = [sum(map(mul, part, part)) for part in parts]
-    counts = (ends - heads).tolist()
-    for key, is_noise, moments in zip(
-        zip(events[heads].tolist(), pids[heads].tolist()),
-        noise[heads].tolist(),
-        zip(counts, totals, mins, maxs, sqs),
-    ):
-        tables = (all_moments, noise_moments) if is_noise else (all_moments,)
-        for table in tables:
-            acc = table.get(key)
-            if acc is None:
-                acc = table[key] = Moments()
-            acc.fold(*moments)
-
-
-class WindowMerger:
+class WindowMerger(EventMoments):
     """Accumulate engine row blocks into batch-exact aggregates and
-    chunks."""
+    chunks; the per-event moments are the inherited
+    :class:`~repro.core.analysis.EventMoments`."""
 
     def __init__(
         self,
@@ -284,16 +164,12 @@ class WindowMerger:
     ) -> None:
         if window_ns is not None and window_ns <= 0:
             raise ValueError("window_ns must be positive")
+        super().__init__(meta)
         self.start_ts = start_ts
-        self.meta = meta
         self.window_ns = window_ns
         self.on_chunk = on_chunk
         self.rows = 0
         self.windows_emitted = 0
-
-        # (event, pid-or--1) -> exact moments; truncated rows excluded.
-        self._all: Dict[Tuple[int, int], Moments] = {}
-        self._noise: Dict[Tuple[int, int], Moments] = {}
         self.totals = NoiseTotals(ncpus)
 
         self._binners: Dict[int, _TimelineBinner] = {
@@ -313,17 +189,8 @@ class WindowMerger:
         if not len(d):
             return
         self.rows += len(d)
-        window = is_window(d["event"])
         noise = d["is_noise"]
-
-        kept = ~d["truncated"]
-        if kept.any():
-            _fold_moments(
-                self._all, self._noise, d["event"][kept],
-                np.where(window[kept], d["pid"][kept], -1), noise[kept],
-                d["self_ns"][kept],
-            )
-
+        self.fold_rows(d)
         self.totals.add(d)
 
         if self._binners and noise.any():
@@ -379,30 +246,8 @@ class WindowMerger:
         self._held.keep(rows["start"] >= self._boundary)
 
     # ------------------------------------------------------------------
-    # Batch-exact query backends (the facade wraps these)
+    # Query backend the facade wraps (the moments are inherited)
     # ------------------------------------------------------------------
-    def moments_for_event(self, event: int, noise_only: bool) -> Moments:
-        table = self._noise if noise_only else self._all
-        merged = Moments()
-        for (ev, _), acc in table.items():
-            if ev == event:
-                merged.merge(acc)
-        return merged
-
-    def moments_by_name(self, noise_only: bool) -> Dict[str, Moments]:
-        """Population moments grouped by display name, sorted by name —
-        the grouping :meth:`NoiseAnalysis.stats_by_event` applies (both
-        preemption pseudo-events share one ``preempt:<daemon>`` name)."""
-        table = self._noise if noise_only else self._all
-        out: Dict[str, Moments] = {}
-        for (ev, pid), acc in table.items():
-            name = activity_name(ev, pid, self.meta)
-            merged = out.get(name)
-            if merged is None:
-                out[name] = merged = Moments()
-            merged.merge(acc)
-        return {name: out[name] for name in sorted(out)}
-
     def timeline(self, quantum_ns: int) -> np.ndarray:
         binner = self._binners.get(int(quantum_ns))
         if binner is None:

@@ -20,6 +20,7 @@ original.
 from __future__ import annotations
 
 import bisect
+import math
 from operator import mul
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -36,7 +37,6 @@ from repro.core.model import (
 )
 from repro.core.timeline import StateInterval
 from repro.simkernel.task import TaskKind, TaskState
-from repro.stream.window import Moments
 from repro.tracing.ctf import Trace
 from repro.tracing.events import (
     Ev,
@@ -48,9 +48,52 @@ from repro.tracing.events import (
     event_name,
     is_paired,
 )
-from repro.util.stats import DurationStats, describe_durations
+from repro.util.stats import DurationStats
+from repro.util.units import SEC
 
 PREEMPT_NAME = "preemption"
+
+
+class Moments:
+    """Python-int moments of one population, kept apart from the
+    production fold: count, sum, minimum, maximum, sum of squares."""
+
+    __slots__ = ("count", "total", "mn", "mx", "sq")
+
+    def __init__(self) -> None:
+        self.count = self.total = self.mn = self.mx = self.sq = 0
+
+    def fold(self, count: int, total: int, mn: int, mx: int, sq: int) -> None:
+        if count == 0:
+            return
+        self.mn = mn if self.count == 0 else min(self.mn, mn)
+        self.mx = mx if self.count == 0 else max(self.mx, mx)
+        self.count += count
+        self.total += total
+        self.sq += sq
+
+
+def describe_ref(values, span_ns: int, cpus: int = 1) -> DurationStats:
+    """One table row from Python ints, one value at a time: exact sums,
+    and the textbook population deviation
+    ``sqrt(n * sum(x**2) - sum(x)**2) / n``."""
+    if span_ns <= 0 or cpus <= 0:
+        raise ValueError("span_ns and cpus must be positive")
+    values = [int(v) for v in values]
+    if not values:
+        return DurationStats.empty()
+    n = len(values)
+    total = sum(values)
+    squares = sum(v * v for v in values)
+    return DurationStats(
+        count=n,
+        freq=n / (span_ns / SEC) / cpus,
+        avg=total / n,
+        max=max(values),
+        min=min(values),
+        std=math.sqrt(n * squares - total * total) / n,
+        total=total,
+    )
 
 
 class _Open:
@@ -406,7 +449,7 @@ class ReferenceAnalysis:
         self, event: Union[int, str], noise_only: bool = False
     ) -> DurationStats:
         durations = self.durations(event, noise_only=noise_only)
-        return describe_durations(durations, self.span_ns, cpus=self.ncpus)
+        return describe_ref(durations, self.span_ns, cpus=self.ncpus)
 
     def stats_by_event(
         self, noise_only: bool = True
@@ -419,7 +462,7 @@ class ReferenceAnalysis:
                 continue
             groups.setdefault(act.name, []).append(act.self_ns)
         return {
-            name: describe_durations(values, self.span_ns, cpus=self.ncpus)
+            name: describe_ref(values, self.span_ns, cpus=self.ncpus)
             for name, values in sorted(groups.items())
         }
 
@@ -691,8 +734,10 @@ def fold_moments_ref(
     noise: np.ndarray,
     values: np.ndarray,
 ) -> None:
-    """Original :func:`repro.stream.window._fold_moments`: every group's
-    sum of squares taken in Python ints, one value at a time."""
+    """The moments fold as first written, the oracle of
+    :func:`repro.core.analysis.fold_moments`: a stable three-key sort,
+    and every group's sum of squares taken in Python ints, one value at
+    a time."""
     order = np.lexsort((noise, pids, events))
     events = events[order]
     pids = pids[order]

@@ -206,21 +206,21 @@ class TestObsDiff:
 class TestObsTail:
     SEEDS = list(range(6))
 
-    def _sweep(self, tmp_path, progress=None):
+    def _sweep(self, tmp_path, progress=None, seeds=SEEDS):
         from repro.core.sweep import SeedSweep
         from repro.exec import RunSpec, ShardedStore, SweepPlan
         from repro.util.units import MSEC
 
         cache = ShardedStore(str(tmp_path / "store"))
         plan_dir = str(tmp_path / "plan")
-        specs = [RunSpec.make("FTQ", 60 * MSEC, s, 2) for s in self.SEEDS]
+        specs = [RunSpec.make("FTQ", 60 * MSEC, s, 2) for s in seeds]
         if SweepPlan.exists(plan_dir):
             plan = SweepPlan.load(plan_dir)
         else:
             plan = SweepPlan(specs, shards=2, plan_dir=plan_dir)
             plan.save()
         return SeedSweep.run(
-            "FTQ", 60 * MSEC, self.SEEDS, ncpus=2,
+            "FTQ", 60 * MSEC, seeds, ncpus=2,
             cache=cache, plan=plan, progress=progress,
         )
 
@@ -255,6 +255,34 @@ class TestObsTail:
         frame = capsys.readouterr().out
         assert "6/6 done" in frame
         assert "cached 2/6" in frame  # the interrupted work was reused
+
+    def test_cached_counts_each_spec_once_across_resumes(
+        self, tmp_path, capsys
+    ):
+        """Each resume journals the done specs it reuses again; the tally
+        reads each spec's last ``done`` line, so a 4-spec plan
+        interrupted after 1, 2 and 3 specs and then finished reads 3 of
+        4 cached (the specs the last run reused), never more cached
+        specs than done ones."""
+        from repro.obs.tools import read_plan_progress
+
+        plan_dir = str(tmp_path / "plan")
+        seeds = list(range(4))
+        for stop in (1, 2, 3):
+            def interrupt(done, total, spec, cached, elapsed, stop=stop):
+                if done >= stop:
+                    raise KeyboardInterrupt
+
+            with pytest.raises(KeyboardInterrupt):
+                self._sweep(tmp_path, progress=interrupt, seeds=seeds)
+            progress = read_plan_progress(plan_dir)
+            assert (progress["done"], progress["cached"]) == (
+                stop, stop - 1)
+        self._sweep(tmp_path, seeds=seeds)
+        progress = read_plan_progress(plan_dir)
+        assert (progress["done"], progress["cached"]) == (4, 3)
+        assert main(["obs", "tail", plan_dir]) == 0
+        assert "cached 3/4" in capsys.readouterr().out
 
     def test_tail_missing_plan_dir_exits_2(self, tmp_path, capsys):
         assert main(["obs", "tail", str(tmp_path / "nope"),

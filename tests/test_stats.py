@@ -1,6 +1,12 @@
 """Unit tests for repro.util.stats."""
 
+import math
+import statistics
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.histogram import duration_histogram
 from repro.util.stats import DurationStats, describe_durations
@@ -40,6 +46,37 @@ class TestDescribeDurations:
     def test_rejects_bad_cpus(self):
         with pytest.raises(ValueError):
             describe_durations([1], span_ns=SEC, cpus=0)
+
+
+#: Negative values, values past 2**32 (the Python-int squares) and small
+#: ones; at most 64 of them at most 2**40 apart from 0, so every sum stays
+#: below 2**53 and ``np.mean`` is exact before its one division.
+_VALUES = st.lists(
+    st.integers(-(2**40), 2**40) | st.integers(2**32 - 2, 2**32 + 2)
+    | st.integers(0, 1000),
+    min_size=1, max_size=64,
+)
+
+
+@given(values=_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_describe_durations_matches_numpy(values):
+    """Every field but ``std`` equals numpy's; ``std`` is within 1e-12
+    relative of ``np.std``, give or take ``np.std``'s own rounding (its
+    float mean is off by up to an ulp of the largest value), and within
+    1e-14 relative of the exact deviation."""
+    arr = np.array(values, dtype=np.int64)
+    got = describe_durations(arr, SEC, cpus=2)
+    assert (got.count, got.total, got.min, got.max) == (
+        arr.size, int(arr.sum()), int(arr.min()), int(arr.max()))
+    assert got.avg == float(arr.mean())
+    assert got.freq == arr.size / 2
+    scale = 4 * np.finfo(np.float64).eps * float(np.abs(arr).max())
+    assert math.isclose(got.std, float(arr.std()), rel_tol=1e-12,
+                        abs_tol=scale)
+    assert math.isclose(got.std, statistics.pstdev(values), rel_tol=1e-14)
+    if arr.size == 1:
+        assert got.std == 0.0
 
 
 class TestEventRate:

@@ -4,10 +4,10 @@ The streaming engine re-derives the batch analyzer's canonical record
 order (time, then cpu, then per-CPU emission order) from per-packet
 feeds, so every derived quantity — the activity table itself, per-event
 statistics, noise totals, breakdowns, and timelines — must match the
-batch :class:`~repro.core.analysis.NoiseAnalysis` exactly.  ``std`` is
-the one exception: the streaming side accumulates moments instead of
-materializing duration arrays, which is numerically equal but not
-guaranteed bit-identical, so it is compared with ``isclose``.
+batch :class:`~repro.core.analysis.NoiseAnalysis` exactly.  Per-event
+statistics included: both sides fold the same exact integer moments, so
+whole :class:`~repro.util.stats.DurationStats` rows, ``std`` too, compare
+with ``==``.
 
 Coverage: hand-built edge traces (gaps, truncation, out-of-range CPUs,
 span overrides, empty traces, missing per-CPU streams), traces whose
@@ -41,10 +41,8 @@ from repro.stream import StreamingAnalysis
 from repro.tracing.ctf import Packet, Trace, TraceFormatError
 from repro.tracing.events import Ev
 from repro.tracing.tracer import Tracer
+from repro.util.stats import describe_durations
 from repro.util.units import MSEC
-
-EXACT_FIELDS = ("count", "freq", "avg", "max", "min", "total")
-
 
 def packets_for(records, split_every=4, lost_at=None):
     """CPU-major packets, ``split_every`` records each, mimicking how the
@@ -121,11 +119,16 @@ def assert_aggregates_equal(batch, stream, quanta):
         ss = stream.stats_by_event(noise_only=noise_only)
         assert list(sb) == list(ss)
         for key in sb:
-            for field in EXACT_FIELDS:
-                assert getattr(sb[key], field) == getattr(ss[key], field), (
-                    key, field, sb[key], ss[key],
-                )
-            assert np.isclose(sb[key].std, ss[key].std)
+            assert sb[key] == ss[key], (key, sb[key], ss[key])
+        # One row per event id, from the fold on both sides and from the
+        # values themselves.
+        for event in np.unique(batch.table.data["event"]).tolist():
+            want = describe_durations(
+                batch.durations(event, noise_only=noise_only),
+                batch.span_ns, cpus=batch.ncpus,
+            )
+            assert batch.stats(event, noise_only) == want
+            assert stream.stats(event, noise_only) == want
 
 
 def assert_equivalent(trace, m, quanta=(25,), span_ns=None, window_ns=50,
@@ -813,8 +816,7 @@ def test_streaming_run_matches_batch_run():
     sb, ss = batch.stats_by_event(), stream.stats_by_event()
     assert list(sb) == list(ss)
     for key in sb:
-        for field in EXACT_FIELDS:
-            assert getattr(sb[key], field) == getattr(ss[key], field)
+        assert sb[key] == ss[key], (key, sb[key], ss[key])
     assert stream.windows_emitted > 0
 
 
