@@ -305,6 +305,62 @@ def test_perf_queries(benchmark, amg_trace, monkeypatch):
     assert full_report(oracle, meta=meta) == report
 
 
+def test_perf_renders(benchmark, amg_trace):
+    """The chart (``render_chart``, top 20) and the ASCII timeline
+    (``render_timeline``, width 100) of the 1 s AMG trace, each on a fresh
+    analysis as in one ``lttng-noise chart``/``timeline`` call; chart
+    construction is part of the chart's cost.
+
+    ``extra_info`` carries the table rows and, per render, wall ms and ns
+    per table row (min, median, p95).  Both texts must equal the
+    object-path oracles of ``tests/reference.py``: the chart over
+    ``interruptions_ref`` groups and ``ascii_trace_ref``."""
+    from reference import ReferenceChart, ascii_trace_ref, interruptions_ref
+    from repro.core import SyntheticNoiseChart
+    from repro.core.report import render_chart, render_timeline
+
+    trace, meta = amg_trace
+    round_ns = {"chart": [], "timeline": []}
+    texts = []
+
+    def setup():
+        return (NoiseAnalysis(trace, meta=meta),), {}
+
+    def render(analysis):
+        t0 = time.perf_counter_ns()
+        chart = render_chart(SyntheticNoiseChart(analysis), 20)
+        t1 = time.perf_counter_ns()
+        timeline = render_timeline(analysis, 100)
+        t2 = time.perf_counter_ns()
+        round_ns["chart"].append(t1 - t0)
+        round_ns["timeline"].append(t2 - t1)
+        texts.append((chart, timeline))
+
+    benchmark.pedantic(render, setup=setup, rounds=15, iterations=1)
+    analysis = NoiseAnalysis(trace, meta=meta)
+    rows = len(analysis.table)
+    info = {"rows": rows}
+    for name, ns in round_ns.items():
+        ms = sorted(t / 1e6 for t in ns)
+        info.update({
+            f"{name}.ms_min": round(ms[0], 2),
+            f"{name}.ms_median": round(ms[len(ms) // 2], 2),
+            f"{name}.ms_p95": round(ms[-(-len(ms) * 95 // 100) - 1], 2),
+            **_ns_per_record(ns, rows, f"{name}.", "row"),
+        })
+    benchmark.extra_info.update(info)
+
+    assert all(text == texts[0] for text in texts)
+    chart, timeline = texts[0]
+    activities = analysis.table.rows()
+    oracle = ReferenceChart(analysis, interruptions_ref(activities))
+    assert render_chart(oracle, 20) == chart
+    assert ascii_trace_ref(
+        [a for a in activities if a.is_noise], analysis.start_ts,
+        analysis.end_ts, analysis.ncpus, 100,
+    ) == timeline
+
+
 def _analyze_phase(analysis_cls, trace, meta):
     """The full analyze phase: reconstruction + classification + the
     standard query battery (tables, breakdowns, per-CPU series, timeline)."""

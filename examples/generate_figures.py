@@ -25,7 +25,7 @@ from repro.core import (
     TraceMeta,
     duration_histogram,
 )
-from repro.core.filters import apply, by_event, noise_only
+from repro.core.filters import by_event, combined_mask, noise_only
 from repro.io.svgplot import (
     histogram_chart,
     spike_chart,
@@ -37,6 +37,11 @@ from repro.util.units import MSEC, SEC
 from repro.workloads import FTQWorkload, SequoiaWorkload, ftq_output
 
 APPS = ("AMG", "IRS", "LAMMPS", "SPHOT", "UMT")
+
+
+def select(table, *filters):
+    """The sub-table of the rows every filter keeps."""
+    return table.take(combined_mask(table, *filters))
 
 
 def main() -> None:
@@ -70,7 +75,7 @@ def main() -> None:
     # Fig 2: zoom on one tick interruption (75 ms window like the paper's 2a).
     t0 = analysis.start_ts + duration // 2
     save("fig2_trace", trace_strip(
-        [a for a in analysis.activities if a.is_noise],
+        select(analysis.table, noise_only()),
         t0, t0 + 75 * MSEC, 2, "Fig 2: FTQ execution trace (75 ms)",
     ))
 
@@ -100,7 +105,7 @@ def main() -> None:
 
     for app, fig in (("AMG", "fig5a"), ("LAMMPS", "fig5b")):
         an = analyses[app]
-        faults = apply(an.table, by_event("page_fault"))
+        faults = select(an.table, by_event("page_fault"))
         save(f"{fig}_trace_{app.lower()}", trace_strip(
             faults, an.start_ts, an.end_ts, an.ncpus,
             f"Fig {fig[3:]}: {app} page fault placement",
@@ -117,7 +122,7 @@ def main() -> None:
         ))
 
     an = analyses["LAMMPS"]
-    preemptions = apply(an.table, by_event("preemption"), noise_only())
+    preemptions = select(an.table, by_event("preemption"), noise_only())
     save("fig7_preemptions_lammps", trace_strip(
         preemptions, an.start_ts, an.end_ts, an.ncpus,
         "Fig 7: LAMMPS process preemptions",

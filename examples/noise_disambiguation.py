@@ -32,7 +32,7 @@ def similar_activities() -> None:
     chart = SyntheticNoiseChart(analysis, cpu=0)
 
     pairs = find_ambiguous_pairs(chart.interruptions, tolerance_ns=30)
-    print(f"{len(chart.interruptions)} interruptions; "
+    print(f"{len(chart)} interruptions; "
           f"{len(pairs)} near-identical-duration pairs with different causes")
     for pair in pairs[:5]:
         print("  " + pair.explain())

@@ -42,7 +42,7 @@ def main() -> None:
 
     # The synthetic OS noise chart: what interrupted FTQ, and when.
     chart = SyntheticNoiseChart(analysis, cpu=0)
-    print(f"\n{len(chart.interruptions)} interruptions on cpu0; "
+    print(f"\n{len(chart)} interruptions on cpu0; "
           f"the three largest, decomposed:")
     print(format_interruptions(chart.largest(3)))
 

@@ -327,8 +327,11 @@ def cmd_replay(args) -> int:
 
 
 def cmd_timeline(args) -> int:
-    from repro.core.report import render_timeline
+    from repro.core.report import MAX_TIMELINE_WIDTH, render_timeline
 
+    if not 1 <= args.width <= MAX_TIMELINE_WIDTH:
+        print(f"--width must be in 1..{MAX_TIMELINE_WIDTH}", file=sys.stderr)
+        return 2
     analysis = _analysis(args)
     t0 = t1 = None
     if args.window:

@@ -61,6 +61,26 @@ from repro.util.stats import DurationStats, square_sums, stats_from_moments
 PREEMPT_NAME = "preemption"
 
 
+def bin_overlaps(
+    starts: np.ndarray, ends: np.ndarray, edges: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand intervals ``[starts[i], ends[i])`` over the bins
+    ``[edges[b], edges[b + 1])``: one ``(row, bin, overlap ns)`` triple
+    for every bin an interval reaches, row-major in input order with
+    bins ascending.  The bin range of an interval is read from the edges
+    themselves, so uneven and empty bins bin exactly; an interval is
+    clipped to the first and last bin, and no overlap is negative."""
+    n = len(edges) - 1
+    first = np.maximum(edges.searchsorted(starts, "right") - 1, 0)
+    last = np.minimum(edges.searchsorted(ends, "left") - 1, n - 1)
+    k = np.maximum(0, last - first + 1)
+    row = np.repeat(np.arange(len(k)), k)
+    q = first[row] + np.arange(len(row)) - np.repeat(np.cumsum(k) - k, k)
+    overlap = np.minimum(ends[row], edges[q + 1]) - np.maximum(
+        starts[row], edges[q])
+    return row, q, np.maximum(overlap, 0)
+
+
 def binned_noise_ns(
     table: ActivityTable,
     quantum_ns: int,
@@ -72,7 +92,7 @@ def binned_noise_ns(
 
     Each noise activity's self time is distributed proportionally over its
     wall interval (density ``self_ns / total_ns``), then binned with one
-    ``np.add.at`` over the expanded (activity, quantum) segments.  The
+    ``np.add.at`` over the :func:`bin_overlaps` expansion.  The
     accumulation runs activity-major in table order, matching the reference
     double loop bit for bit.
     """
@@ -84,26 +104,12 @@ def binned_noise_ns(
     m = d["is_noise"] & (d["end"] > t0) & (d["start"] < t1)
     if cpu is not None:
         m &= d["cpu"] == cpu
-    if not m.any():
-        return out
-    starts = d["start"][m]
-    ends = d["end"][m]
     density = d["self_ns"][m] / np.maximum(d["total_ns"][m], 1)
-    first = np.maximum(0, (starts - t0) // quantum_ns)
-    last = np.minimum(n - 1, (ends - 1 - t0) // quantum_ns)
-    k = np.maximum(0, last - first + 1)
-    total = int(k.sum())
-    if total == 0:
-        return out
-    idx = np.repeat(np.arange(len(k)), k)
-    run_base = np.repeat(np.cumsum(k) - k, k)
-    q = first[idx] + (np.arange(total) - run_base)
-    q_begin = t0 + q * quantum_ns
-    overlap = np.minimum(ends[idx], q_begin + quantum_ns) - np.maximum(
-        starts[idx], q_begin
+    row, q, overlap = bin_overlaps(
+        d["start"][m], d["end"][m],
+        t0 + quantum_ns * np.arange(n + 1, dtype=np.int64),
     )
-    np.maximum(overlap, 0, out=overlap)
-    np.add.at(out, q, overlap * density[idx])
+    np.add.at(out, q, overlap * density[row])
     return out
 
 
@@ -453,7 +459,7 @@ class NoiseAnalysis(DerivedQueries):
                 engine.feed_packet(packet)
         else:
             cpus = records["cpu"]
-            for cpu in np.unique(cpus).tolist():
+            for cpu in np.flatnonzero(np.bincount(cpus)).tolist():
                 engine.feed_records(cpu, records[cpus == cpu])
         n_records = engine.pending_counts()["records"]
         with obs.span("analysis", records=n_records):
@@ -475,7 +481,6 @@ class NoiseAnalysis(DerivedQueries):
         self._totals = NoiseTotals(self.ncpus)
         self._totals.add(self.table.data)
         self._warn_out_of_range()
-        self._activities: Optional[List[Activity]] = None
         self._event_moments: Optional[EventMoments] = None
 
     def _noise_totals(self) -> NoiseTotals:
@@ -506,12 +511,10 @@ class NoiseAnalysis(DerivedQueries):
         block = self.records if self._block is None else self._block
         return take_rows(block, block["event"] == int(Ev.TASK_STATE))
 
-    @property
+    @cached_property
     def activities(self) -> List[Activity]:
         """Object view of the table (materialized lazily, then cached)."""
-        if self._activities is None:
-            self._activities = self.table.rows()
-        return self._activities
+        return self.table.rows()
 
     # ------------------------------------------------------------------
     # Selection

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -369,12 +369,6 @@ class ActivityTable:
                 )
             )
         return out
-
-    def row(self, i: int) -> Activity:
-        return self.rows(np.asarray([i]))[0]
-
-    def __iter__(self) -> Iterator[Activity]:
-        return iter(self.rows())
 
 
 @dataclass

@@ -6,11 +6,15 @@ these helpers keep the formatting in one place.
 
 from __future__ import annotations
 
-from typing import (
-    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
-)
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.core.model import BREAKDOWN_CATEGORIES, NoiseCategory
+import numpy as np
+
+from repro.core.analysis import bin_overlaps
+from repro.core.model import (
+    ActivityTable, BREAKDOWN_CATEGORIES, CATEGORY_ORDER, NoiseCategory,
+    take_rows,
+)
 from repro.util.stats import DurationStats
 from repro.util.units import fmt_ns
 
@@ -86,14 +90,16 @@ def render_chart(
     """The synthetic noise chart as text: the interruption count, then
     the ``top`` largest interruptions, or at most ``top`` of those that
     start inside the absolute ``window``.  ``lttng-noise chart`` prints
-    it and the service's ``chart`` render returns it."""
+    it and the service's ``chart`` render returns it.  Only the groups
+    it prints, and one more to know whether to print ``...``, become
+    :class:`~repro.core.model.Interruption` objects."""
     scope = "" if chart.cpu is None else f" on cpu{chart.cpu}"
-    lines = [f"{len(chart.interruptions)} interruptions{scope}"]
+    lines = [f"{len(chart)} interruptions{scope}"]
     if window is None:
         lines.append("largest interruptions:")
         groups = chart.largest(top)
     else:
-        groups = chart.window(*window)
+        groups = chart.window(*window, limit=max(top, 0) + 1)
     lines.append(format_interruptions(
         groups, limit=top, t_origin=chart.analysis.start_ts
     ))
@@ -114,9 +120,12 @@ _CATEGORY_CHAR = {
     "other": "?",
 }
 
+#: Widest ASCII trace: its grid holds ``ncpus * width * 8`` int64 cells.
+MAX_TIMELINE_WIDTH = 10_000
+
 
 def render_ascii_trace(
-    activities: Sequence,
+    table: ActivityTable,
     t0: int,
     t1: int,
     ncpus: int,
@@ -129,41 +138,38 @@ def render_ascii_trace(
     computation).  The same view Paraver gives, at character resolution —
     good enough to *see* Figure 5's fault placement or Figure 7's
     preemption density from a shell.
+
+    Exact integer binning: cell ``c`` covers ``[t0 + span*c//width,
+    t0 + span*(c+1)//width)``.  Overlaps sum into one ``(cpu, cell,
+    category)`` grid of ns; a cell shows its category with the most ns,
+    of tied ones the first to overlap it in table order.
     """
-    if t1 <= t0 or width <= 0:
-        raise ValueError("need t1 > t0 and positive width")
-    # Exact integer binning: cell c covers [t0 + span*c//width,
-    # t0 + span*(c+1)//width) — no float round-off however large the
-    # timestamps get.
+    if t1 <= t0 or not 0 < width <= MAX_TIMELINE_WIDTH:
+        raise ValueError(
+            f"need t1 > t0 and a width in 1..{MAX_TIMELINE_WIDTH}"
+        )
     span = t1 - t0
-    # For each cpu/cell, accumulate ns per category; pick the max.
-    grids = [
-        [dict() for _ in range(width)] for _ in range(ncpus)
-    ]
-    for act in activities:
-        if act.end <= t0 or act.start >= t1 or act.cpu >= ncpus:
-            continue
-        first = max(0, (act.start - t0) * width // span)
-        last = min(width - 1, (act.end - 1 - t0) * width // span)
-        for cell in range(first, last + 1):
-            begin = t0 + span * cell // width
-            cell_end = t0 + span * (cell + 1) // width
-            overlap = min(act.end, cell_end) - max(act.start, begin)
-            if overlap <= 0:
-                continue
-            bucket = grids[act.cpu][cell]
-            key = act.category.value
-            bucket[key] = bucket.get(key, 0) + overlap
-    lines = []
-    for cpu in range(ncpus):
-        chars = []
-        for bucket in grids[cpu]:
-            if not bucket:
-                chars.append(" ")
-            else:
-                dominant = max(bucket, key=bucket.get)
-                chars.append(_CATEGORY_CHAR.get(dominant, "?"))
-        lines.append(f"cpu{cpu}: |{''.join(chars)}|")
+    step = np.arange(width + 1, dtype=np.int64)
+    # span*step//width without the product, which may overflow int64.
+    edges = t0 + (span // width) * step + (span % width) * step // width
+    d = take_rows(table.data, (table.end > t0) & (table.start < t1)
+                  & (table.cpu < ncpus))
+    row, cell, overlap = bin_overlaps(d["start"], d["end"], edges)
+    hit = overlap > 0
+    row, ncat = row[hit], len(CATEGORY_ORDER)
+    key = (d["cpu"][row] * np.int64(width) + cell[hit]) * ncat
+    key += d["category"][row]
+    ns = np.zeros((ncpus, width, ncat), dtype=np.int64)
+    np.add.at(ns.reshape(-1), key, overlap[hit])
+    first = np.full(ns.shape, len(key))
+    np.minimum.at(first.reshape(-1), key, np.arange(len(key)))
+    most = ns.max(axis=2, keepdims=True)
+    dominant = np.where(ns == most, first, len(key)).argmin(axis=2)
+    dominant[most[..., 0] == 0] = ncat
+    chars = np.array(
+        [_CATEGORY_CHAR[c.value] for c in CATEGORY_ORDER] + [" "]
+    )[dominant].tolist()
+    lines = [f"cpu{cpu}: |{''.join(cells)}|" for cpu, cells in enumerate(chars)]
     legend = "  ".join(f"{c}={name}" for name, c in _CATEGORY_CHAR.items())
     lines.append(f"legend: {legend}  (space = user computation)")
     return "\n".join(lines)
@@ -182,7 +188,7 @@ def render_timeline(
     ``timeline`` render returns it."""
     table = analysis.table
     return render_ascii_trace(
-        table.rows(table.data["is_noise"] if noise_only else None),
+        table.take(table.data["is_noise"]) if noise_only else table,
         analysis.start_ts if t0 is None else t0,
         analysis.end_ts if t1 is None else t1,
         analysis.ncpus,
@@ -236,8 +242,6 @@ def render_analysis_summary(analysis, quanta=(), all_events=False) -> str:
     :class:`~repro.stream.analysis.StreamingAnalysis` — the query surface
     is the same.
     """
-    import numpy as np
-
     lines = [
         f"span {fmt_ns(analysis.span_ns)}, {analysis.ncpus} cpus",
         f"total noise:     {fmt_ns(analysis.total_noise_ns())}",

@@ -75,7 +75,8 @@ class TaskTimeline:
         self._end = end[keep]
         self._state = (args[order][keep] & np.uint64(0xFF)).astype(np.int64)
         # An unknown state code fails here, as building the objects would.
-        for code in np.unique(self._state).tolist():
+        # (bincount, not a plain np.unique, which imports numpy.ma.)
+        for code in np.flatnonzero(np.bincount(self._state)).tolist():
             TaskState(code)
         #: pid -> (lo, hi) row range of its intervals, in pid order.
         uniq, los = np.unique(pids, return_index=True)

@@ -18,6 +18,10 @@ from __future__ import annotations
 import html
 from typing import List, Mapping, Optional, Sequence
 
+import numpy as np
+
+from repro.core.model import ActivityTable, CATEGORY_ORDER
+
 #: Category colours, matching the paper's figures and our Paraver export.
 CATEGORY_COLORS = {
     "periodic": "#000000",
@@ -179,7 +183,7 @@ def stacked_bars(
 
 
 def trace_strip(
-    activities: Sequence,
+    table: ActivityTable,
     t0: int,
     t1: int,
     ncpus: int,
@@ -187,7 +191,8 @@ def trace_strip(
     width: int = 900,
     row_height: int = 26,
 ) -> str:
-    """Per-CPU activity strips — the execution-trace figures (2, 5, 7)."""
+    """Per-CPU activity strips — the execution-trace figures (2, 5, 7):
+    one rectangle per table row inside ``[t0, t1)``, in table order."""
     if t1 <= t0:
         raise ValueError("need t1 > t0")
     height = 40 + ncpus * row_height + 30
@@ -201,17 +206,20 @@ def trace_strip(
             f'height="{row_height - 6}" fill="#f7f7f7" stroke="#dddddd"/>'
         )
         body.append(_label(_MARGIN - 6, y + row_height / 2, f"cpu{cpu}", anchor="end"))
-    for act in activities:
-        if act.end <= t0 or act.start >= t1 or act.cpu >= ncpus:
-            continue
-        x = _MARGIN + max(0, (act.start - t0)) / span * plot_w
-        w = max(0.6, (min(act.end, t1) - max(act.start, t0)) / span * plot_w)
-        y = 30 + act.cpu * row_height
-        color = CATEGORY_COLORS.get(act.category.value, "#999999")
+    m = (table.end > t0) & (table.start < t1) & (table.cpu < ncpus)
+    start, end = table.start[m], table.end[m]
+    xs = _MARGIN + np.maximum(0, start - t0) / span * plot_w
+    ws = (np.minimum(end, t1) - np.maximum(start, t0)) / span * plot_w
+    for x, w, cpu, code, name, self_ns in zip(
+        xs.tolist(), np.maximum(0.6, ws).tolist(), table.cpu[m].tolist(),
+        table.category[m].tolist(), table.names()[m].tolist(),
+        table.self_ns[m].tolist(),
+    ):
+        color = CATEGORY_COLORS.get(CATEGORY_ORDER[code].value, "#999999")
         body.append(
-            f'<rect x="{x:.2f}" y="{y}" width="{w:.2f}" '
+            f'<rect x="{x:.2f}" y="{30 + cpu * row_height}" width="{w:.2f}" '
             f'height="{row_height - 6}" fill="{color}">'
-            f"<title>{html.escape(act.name)}: {act.self_ns} ns</title></rect>"
+            f"<title>{html.escape(name)}: {self_ns} ns</title></rect>"
         )
     return _svg(width, height, body, title)
 

@@ -86,7 +86,7 @@ def _parse_spec(body: bytes) -> RunSpec:
 
 
 def _int_query(request: Request, name: str, default: int,
-               minimum: int = 1) -> int:
+               minimum: int = 1, maximum: Optional[int] = None) -> int:
     raw = request.query.get(name)
     if raw is None or raw == "":
         return default
@@ -96,6 +96,8 @@ def _int_query(request: Request, name: str, default: int,
         raise HttpError(400, f"query parameter {name!r} must be an integer")
     if value < minimum:
         raise HttpError(400, f"query parameter {name!r} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise HttpError(400, f"query parameter {name!r} must be <= {maximum}")
     return value
 
 
@@ -105,7 +107,11 @@ def _render_params(kind: str, request: Request) -> Tuple[int, ...]:
     if kind == "chart":
         return (_int_query(request, "top", 20),)
     if kind == "timeline":
-        return (_int_query(request, "width", 100),)
+        from repro.core.report import MAX_TIMELINE_WIDTH
+
+        return (_int_query(
+            request, "width", 100, maximum=MAX_TIMELINE_WIDTH
+        ),)
     return ()
 
 

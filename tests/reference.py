@@ -30,6 +30,7 @@ from repro.core.model import (
     Activity,
     BREAKDOWN_CATEGORIES,
     EVENT_CATEGORY,
+    Interruption,
     NoiseCategory,
     PREEMPT_EVENT,
     TRACER_PREEMPT_EVENT,
@@ -769,3 +770,113 @@ def fold_moments_ref(
             if acc is None:
                 acc = table[(event, pid)] = Moments()
             acc.fold(*moments)
+
+
+#: Display character per category value, as the ASCII trace legend has it.
+ASCII_CHAR_REF = {
+    "periodic": "t", "page fault": "F", "scheduling": "s", "preemption": "P",
+    "io": "n", "service": ".", "tracer": "~", "other": "?",
+}
+
+
+def ascii_trace_ref(
+    activities: List[Activity], t0: int, t1: int, ncpus: int, width: int
+) -> str:
+    """The ASCII trace as first specified, the oracle of
+    :func:`repro.core.report.render_ascii_trace`: for every cell
+    ``[t0 + span*c//width, t0 + span*(c+1)//width)`` of every CPU, loop
+    over the activities in table order, add each positive exact overlap
+    to a dict keyed by category (insertion order), and show the first
+    key with the most ns."""
+    span = t1 - t0
+    lines = []
+    for cpu in range(ncpus):
+        on_cpu = [act for act in activities if act.cpu == cpu]
+        chars = []
+        for cell in range(width):
+            begin = t0 + span * cell // width
+            end = t0 + span * (cell + 1) // width
+            bucket: Dict[str, int] = {}
+            for act in on_cpu:
+                overlap = min(act.end, end) - max(act.start, begin)
+                if overlap > 0:
+                    key = act.category.value
+                    bucket[key] = bucket.get(key, 0) + overlap
+            chars.append(
+                ASCII_CHAR_REF[max(bucket, key=bucket.get)] if bucket else " "
+            )
+        lines.append(f"cpu{cpu}: |{''.join(chars)}|")
+    legend = "  ".join(f"{c}={name}" for name, c in ASCII_CHAR_REF.items())
+    lines.append(f"legend: {legend}  (space = user computation)")
+    return "\n".join(lines)
+
+
+def interruptions_ref(
+    activities: List[Activity],
+    merge_gap_ns: int = 300,
+    cpu: Optional[int] = None,
+    noise_only: bool = True,
+) -> List[Interruption]:
+    """Interruptions by a per-CPU merge over ``Activity`` lists, the
+    oracle of :func:`repro.core.chart.build_interruptions`: each CPU's
+    activities in ``(start, depth)`` order (table order on ties) join the
+    open group while they start within ``merge_gap_ns`` of its end."""
+    chosen = [
+        a for a in activities
+        if (a.is_noise or not noise_only) and (cpu is None or a.cpu == cpu)
+    ]
+    out: List[Interruption] = []
+    for c in sorted({a.cpu for a in chosen}):
+        group: Optional[Interruption] = None
+        for act in sorted(
+            (a for a in chosen if a.cpu == c), key=lambda a: (a.start, a.depth)
+        ):
+            if group is not None and act.start <= group.end + merge_gap_ns:
+                group.activities.append(act)
+                group.end = max(group.end, act.end)
+            else:
+                group = Interruption(
+                    cpu=c, start=act.start, end=act.end, activities=[act]
+                )
+                out.append(group)
+    out.sort(key=lambda g: (g.start, g.cpu))
+    return out
+
+
+class ReferenceChart:
+    """The synthetic noise chart's queries as first written, over an
+    :func:`interruptions_ref` list: the oracle of
+    :class:`repro.core.chart.SyntheticNoiseChart` as
+    :func:`repro.core.report.render_chart` reads it."""
+
+    def __init__(
+        self, analysis, groups: List[Interruption], cpu: Optional[int] = None
+    ) -> None:
+        self.analysis = analysis
+        self.groups = groups
+        self.cpu = cpu
+
+    def __len__(self) -> int:
+        return len(self.groups)
+
+    def largest(self, n: int) -> List[Interruption]:
+        return sorted(self.groups, key=lambda g: g.noise_ns, reverse=True)[:n]
+
+    def window(
+        self, t0: int, t1: int, limit: Optional[int] = None
+    ) -> List[Interruption]:
+        """Every group starting in ``[t0, t1)``, whatever ``limit``
+        says: the chart's window took no limit, and ``render_chart``'s
+        ``...`` line is checked against the whole window."""
+        return [g for g in self.groups if t0 <= g.start < t1]
+
+    def at(self, time_ns: int, slack_ns: int = 0) -> Optional[Interruption]:
+        best, best_gap = None, 0
+        for g in self.groups:
+            if g.start - slack_ns <= time_ns <= g.end + slack_ns:
+                gap = 0 if g.start <= time_ns <= g.end else min(
+                    abs(g.start - time_ns), abs(g.end - time_ns)
+                )
+                if best is None or gap < best_gap:
+                    best, best_gap = g, gap
+        return best

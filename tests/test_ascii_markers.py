@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import NoiseAnalysis
-from repro.core.report import render_ascii_trace
+from repro.core import ActivityTable, NoiseAnalysis
+from repro.core.report import MAX_TIMELINE_WIDTH, render_ascii_trace
 from repro.tracing.events import Ev
 from repro.util.units import SEC
 from recbuild import RecordBuilder, meta
@@ -22,7 +22,7 @@ class TestAsciiTrace:
             .build()
         )
         an = analysis_of(records, span_ns=1000)
-        text = render_ascii_trace(an.activities, 0, 1000, ncpus=1, width=10)
+        text = render_ascii_trace(an.table, 0, 1000, ncpus=1, width=10)
         row = text.splitlines()[0]
         cells = row.split("|")[1]
         assert cells[0] == "F"
@@ -37,13 +37,13 @@ class TestAsciiTrace:
             .build()
         )
         an = analysis_of(records, span_ns=100)
-        text = render_ascii_trace(an.activities, 0, 100, ncpus=1, width=1)
+        text = render_ascii_trace(an.table, 0, 100, ncpus=1, width=1)
         assert "|F|" in text
 
     def test_one_row_per_cpu_and_legend(self):
         records = RecordBuilder().activity(0, 10, Ev.IRQ_TIMER, cpu=1).build()
         an = analysis_of(records, span_ns=100, ncpus=3)
-        text = render_ascii_trace(an.activities, 0, 100, ncpus=3, width=5)
+        text = render_ascii_trace(an.table, 0, 100, ncpus=3, width=5)
         lines = text.splitlines()
         assert lines[0].startswith("cpu0:")
         assert lines[2].startswith("cpu2:")
@@ -51,16 +51,19 @@ class TestAsciiTrace:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            render_ascii_trace([], 100, 100, ncpus=1)
+            render_ascii_trace(ActivityTable.empty(), 100, 100, ncpus=1)
         with pytest.raises(ValueError):
-            render_ascii_trace([], 0, 100, ncpus=1, width=0)
+            render_ascii_trace(ActivityTable.empty(), 0, 100, ncpus=1, width=0)
+        with pytest.raises(ValueError):
+            render_ascii_trace(
+                ActivityTable.empty(), 0, 100, ncpus=1,
+                width=MAX_TIMELINE_WIDTH + 1,
+            )
 
     def test_lammps_fault_placement_visible(self, lammps_analysis):
-        faults_only = [
-            a for a in lammps_analysis.activities if a.name == "page_fault"
-        ]
+        table = lammps_analysis.table
         text = render_ascii_trace(
-            faults_only,
+            table.take(table.mask(event=Ev.EXC_PAGE_FAULT)),
             lammps_analysis.start_ts,
             lammps_analysis.end_ts,
             ncpus=lammps_analysis.ncpus,

@@ -163,6 +163,15 @@ class TestTimelineCommand:
         )
         assert rc == 0
 
+    def test_width_out_of_bounds_exits_2(self, recorded, capsys):
+        from repro.core.report import MAX_TIMELINE_WIDTH
+
+        for width in (0, MAX_TIMELINE_WIDTH + 1, 1_000_000_000):
+            assert main(["timeline", recorded + ".lttnz",
+                         "--width", str(width)]) == 2
+            err = capsys.readouterr().err
+            assert f"--width must be in 1..{MAX_TIMELINE_WIDTH}" in err
+
 
 class TestExportChrome:
     def test_chrome_export(self, recorded, tmp_path, capsys):

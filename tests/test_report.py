@@ -85,3 +85,41 @@ class TestFormatHistogram:
 
     def test_empty(self):
         assert "empty" in format_histogram(duration_histogram([]))
+
+
+def test_full_report_does_not_import_numpy_ma():
+    """``numpy.ma`` costs ~14 ms to import, paid by every one-shot
+    ``report`` or ``export --chrome`` process that pulls it in; in a
+    fresh interpreter, a full report with task states must not."""
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import sys
+from recbuild import RANK, DAEMON, RecordBuilder, meta
+from repro.core import NoiseAnalysis
+from repro.core.report import full_report
+from repro.simkernel.task import TaskState
+from repro.tracing.events import Ev
+records = (
+    RecordBuilder()
+    .activity(10, 50, Ev.IRQ_TIMER)
+    .state(100, RANK, TaskState.RUNNABLE)
+    .switch(100, RANK, DAEMON)
+    .switch(300, DAEMON, RANK)
+    .state(300, RANK, TaskState.RUNNING)
+    .build()
+)
+text = full_report(NoiseAnalysis(records, meta=meta(), span_ns=1000))
+assert "task states" in text, text
+print("numpy.ma" in sys.modules)
+"""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(here, "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

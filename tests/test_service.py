@@ -466,6 +466,26 @@ class TestErrorPaths:
             obs.disable()
             obs.reset()
 
+    def test_timeline_width_over_the_bound_is_400_before_the_store(
+            self, server):
+        """A width past ``MAX_TIMELINE_WIDTH`` is refused before the run
+        is read back, so no render thread allocates its grid; the server
+        answers the next request as before."""
+        from repro.core.report import MAX_TIMELINE_WIDTH
+
+        job_id = _done_job(server, spec())
+        timeline = f"/v1/jobs/{job_id}/render/timeline"
+        hits, misses = server.table.store.hits, server.table.store.misses
+        status, body = _get(server, timeline + "?width=1000000000")
+        assert status == 400
+        assert f"must be <= {MAX_TIMELINE_WIDTH}".encode() in body
+        assert (server.table.store.hits, server.table.store.misses) == (
+            hits, misses)
+        status, body = _get(server, f"{timeline}?width={MAX_TIMELINE_WIDTH}")
+        assert status == 200 and body.startswith(b"cpu0: |")
+        assert len(body.splitlines()[0]) == len("cpu0: ||") + (
+            MAX_TIMELINE_WIDTH)
+
     def test_upload_jobs_serve_only_the_analyze_render(self, server):
         s = spec()
         trace, _meta = s.execute()

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.core import NoiseAnalysis
+from repro.core import ActivityTable, NoiseAnalysis
 from repro.io.svgplot import (
     histogram_chart,
     spike_chart,
@@ -89,7 +89,7 @@ class TestTraceStrip:
 
     def test_strip_contains_activities_with_tooltips(self):
         an = self._analysis()
-        svg = trace_strip(an.activities, 0, 1000, 2, "strip")
+        svg = trace_strip(an.table, 0, 1000, 2, "strip")
         root = parse(svg)
         titles = root.findall(f".//{SVG_NS}title")
         assert {t.text.split(":")[0] for t in titles} == {
@@ -99,11 +99,11 @@ class TestTraceStrip:
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            trace_strip([], 100, 100, 1, "bad")
+            trace_strip(ActivityTable.empty(), 100, 100, 1, "bad")
 
     def test_out_of_window_activities_skipped(self):
         an = self._analysis()
-        svg = trace_strip(an.activities, 0, 50, 2, "early")
+        svg = trace_strip(an.table, 0, 50, 2, "early")
         root = parse(svg)
         assert not root.findall(f".//{SVG_NS}title")
 
